@@ -21,6 +21,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 
@@ -91,6 +92,21 @@ def _parse_skew(pairs: list[str]) -> dict[int, float]:
         except ValueError:
             raise SystemExit(f"invalid --skew {pair!r}: expected RANK=FACTOR")
     return skew
+
+
+def _checkpoint_dir(args: argparse.Namespace, prefix: str):
+    """A context manager yielding where supervised checkpoints land.
+
+    None under ``--checkpoint-every 0``, else ``--checkpoint-dir``, else
+    a temporary directory removed when the ``with`` block exits.
+    """
+    import tempfile
+
+    if not args.checkpoint_every:
+        return contextlib.nullcontext()
+    if args.checkpoint_dir:
+        return contextlib.nullcontext(args.checkpoint_dir)
+    return tempfile.TemporaryDirectory(prefix=prefix)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,7 +753,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {write_report(result, args.out)}")
     elif args.command == "faults":
         import json
-        import tempfile
         from pathlib import Path
 
         from repro.faults import FaultPlan, Supervisor
@@ -778,20 +793,18 @@ def main(argv: list[str] | None = None) -> int:
             compute_skew=_parse_skew(args.skew),
             track_device_memory=False,
         )
-        checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(
-            prefix="repro-faults-"
-        )
-        try:
-            supervisor = Supervisor(
-                spec,
-                plan,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=checkpoint_dir if args.checkpoint_every else None,
-            )
-        except ValueError as sup_error:
-            print(f"repro faults: {sup_error}", file=sys.stderr)
-            return 2
-        report = supervisor.run(args.steps)
+        with _checkpoint_dir(args, "repro-faults-") as checkpoint_dir:
+            try:
+                supervisor = Supervisor(
+                    spec,
+                    plan,
+                    checkpoint_every=args.checkpoint_every,
+                    checkpoint_dir=checkpoint_dir,
+                )
+            except ValueError as sup_error:
+                print(f"repro faults: {sup_error}", file=sys.stderr)
+                return 2
+            report = supervisor.run(args.steps)
         print(report.render())
         if args.out:
             out = Path(args.out)
@@ -942,7 +955,6 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             print(f"serve regression gate OK (tolerance {args.tolerance:.0%})")
     elif args.command == "monitor":
-        import tempfile
         from pathlib import Path
 
         from repro.models import OrbitConfig
@@ -994,23 +1006,19 @@ def main(argv: list[str] | None = None) -> int:
         if plan is not None:
             from repro.faults import Supervisor
 
-            checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(
-                prefix="repro-monitor-"
-            )
-            try:
-                supervisor = Supervisor(
-                    spec,
-                    plan,
-                    checkpoint_every=args.checkpoint_every,
-                    checkpoint_dir=(
-                        checkpoint_dir if args.checkpoint_every else None
-                    ),
-                    session_kwargs={"monitor": run_monitor},
-                )
-            except ValueError as sup_error:
-                print(f"repro monitor: {sup_error}", file=sys.stderr)
-                return 2
-            recovered = supervisor.run(args.steps).recovered
+            with _checkpoint_dir(args, "repro-monitor-") as checkpoint_dir:
+                try:
+                    supervisor = Supervisor(
+                        spec,
+                        plan,
+                        checkpoint_every=args.checkpoint_every,
+                        checkpoint_dir=checkpoint_dir,
+                        session_kwargs={"monitor": run_monitor},
+                    )
+                except ValueError as sup_error:
+                    print(f"repro monitor: {sup_error}", file=sys.stderr)
+                    return 2
+                recovered = supervisor.run(args.steps).recovered
         else:
             session = Session(spec, monitor=run_monitor)
             run_monitor.record_run(
@@ -1066,12 +1074,12 @@ def main(argv: list[str] | None = None) -> int:
                 track_device_memory=False,
             )
 
-        def supervise(mode: str, run_monitor: "RunMonitor"):
+        def supervise(mode: str, run_monitor: "RunMonitor", checkpoint_dir):
             supervisor = Supervisor(
                 replan_spec(mode),
                 plan,
                 checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=tempfile.mkdtemp(prefix="repro-replan-"),
+                checkpoint_dir=checkpoint_dir,
                 degradation_aware=True,
                 checkpoint_cost_s=args.checkpoint_cost,
                 restart_latency_s=args.restart_latency,
@@ -1085,11 +1093,17 @@ def main(argv: list[str] | None = None) -> int:
             lambda event: print(event.render()) if event.kind == "replan" else None
         )
         run_monitor = RunMonitor(on_event=tail)
-        try:
-            supervisor, report = supervise("on", run_monitor)
-        except (RunSpecError, ValueError) as error:
-            print(f"repro replan: {error}", file=sys.stderr)
-            return 2
+        # The runs are sequential, so they share one checkpoint directory.
+        with tempfile.TemporaryDirectory(prefix="repro-replan-") as checkpoint_dir:
+            try:
+                supervisor, report = supervise("on", run_monitor, checkpoint_dir)
+            except (RunSpecError, ValueError) as error:
+                print(f"repro replan: {error}", file=sys.stderr)
+                return 2
+            if args.compare:
+                off_supervisor, off_report = supervise(
+                    "off", RunMonitor(), checkpoint_dir
+                )
         decisions = [
             event for event in run_monitor.journal.events
             if event.kind == "replan"
@@ -1105,8 +1119,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         status = 0
         if args.compare:
-            off_monitor = RunMonitor()
-            off_supervisor, off_report = supervise("off", off_monitor)
             off_fraction = off_supervisor.ledger.goodput_fraction
             print(
                 f"replan=off: {off_report.steps_completed} step(s), "

@@ -28,6 +28,7 @@ RecoveryReport` attributes exactly where the walltime went.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from repro.faults.errors import (
@@ -144,18 +145,11 @@ class Supervisor:
         # One monitor instance across every incarnation: the session is
         # rebuilt after crashes/regroups, so the telemetry stream must
         # be owned here (the injector pattern) and passed through.
-        monitor = self.session_kwargs.get("monitor")
-        if monitor is None:
-            if spec.monitor == "on":
-                from repro.obs.monitor import RunMonitor
+        if self.session_kwargs.get("monitor") is None:
+            from repro.obs.monitor import monitor_for
 
-                monitor = RunMonitor()
-            else:
-                from repro.obs.monitor import NULL_MONITOR
-
-                monitor = NULL_MONITOR
-            self.session_kwargs["monitor"] = monitor
-        self.monitor = monitor
+            self.session_kwargs["monitor"] = monitor_for(spec)
+        self.monitor = self.session_kwargs["monitor"]
         self.ledger = GoodputLedger()
         self.session = None
         self.loop = None
@@ -177,9 +171,7 @@ class Supervisor:
 
     # -- construction ----------------------------------------------------------
     def _make_grad_scaler(self):
-        if self.spec.meta:
-            return None
-        if self._grad_scaler is False:
+        if self.spec.meta or self._grad_scaler is False:
             return None
         from repro.nn.grad_scaler import DynamicGradScaler
 
@@ -196,33 +188,49 @@ class Supervisor:
             min_scale=template.min_scale,
         )
 
-    def _build_session(self, spec, loop_state: dict | None = None):
+    def _rebuild(self, spec, *, elastic: bool = False) -> None:
+        """Build a fresh incarnation on ``spec`` at the last durable archive.
+
+        The one rebuild-and-resume path of the first build, crash
+        restart, elastic regroup and plan switch.  ``elastic`` resumes
+        numeric state through ``resume_elastic`` (the DDP extent may
+        have changed) instead of the strict ``resume``.
+        """
         from repro.runtime import Session, StepLoop
 
+        self.spec = spec
         self.session = Session(
             spec, grad_scaler=self._make_grad_scaler(), **self.session_kwargs
         )
         self.session.cluster.attach_injector(self.injector)
-        hooks = self.session.loop_hooks()
-        if loop_state is None:
-            self.loop = StepLoop(self.session.step_fn(), hooks=hooks)
+        position = {}
+        if self._last_checkpoint is not None:
+            path = self._last_checkpoint["path"]
+            if spec.meta:
+                state = self.session.resume_meta(path)
+            elif elastic:
+                state = self.session.resume_elastic(path)["loop"]
+            else:
+                state = self.session.resume(path)["loop"]
+            position = {
+                "start_step": state["step"],
+                "observations_seen": state["observations_seen"],
+                "history": [tuple(pair) for pair in state["history"]],
+            }
+        self.loop = StepLoop(
+            self.session.step_fn(), hooks=self.session.loop_hooks(), **position
+        )
+
+    def _save(self, path: Path) -> None:
+        """Write the durable checkpoint the next rebuild resumes from."""
+        if self.spec.meta:
+            self.session.save_meta(path, loop_state=self.loop.state())
         else:
-            self.loop = StepLoop(
-                self.session.step_fn(),
-                hooks=hooks,
-                start_step=loop_state["step"],
-                observations_seen=loop_state["observations_seen"],
-                history=[tuple(pair) for pair in loop_state["history"]],
-            )
+            self.session.save(path, loop=self.loop)
+        self._last_checkpoint = {"path": path, "step": self.loop.step}
 
     def _wall(self) -> float:
         return self.session.cluster.timeline.walltime_s()
-
-    def _rng_state(self):
-        return self.session.data_rng.bit_generator.state
-
-    def _restore_rng(self, state) -> None:
-        self.session.data_rng.bit_generator.state = state
 
     def _record(self, report: RecoveryReport, event: RecoveryEvent) -> None:
         """Append to the report and mirror into the monitor's journal."""
@@ -238,7 +246,7 @@ class Supervisor:
         self._num_steps = num_steps
         report = RecoveryReport(ledger=self.ledger)
         if self.session is None:
-            self._build_session(self.spec)
+            self._rebuild(self.spec)
         self.monitor.record_run(
             self.loop.step, "start",
             f"supervised run: {num_steps} step(s), "
@@ -247,18 +255,15 @@ class Supervisor:
         while self.loop.step < num_steps and not report.unrecovered:
             step = self.loop.step
             self.injector.begin_step(step)
-            rng_state = self._rng_state()
+            rng_state = self.session.data_rng.bit_generator.state
             t0 = self._wall()
             try:
                 event = self.loop.run_step()
             except TransientFaultError as err:
                 self._recover_transient(err, step, t0, rng_state, report)
                 continue
-            except NodeLossError as err:
-                self._recover_node_loss(err, step, t0, report)
-                continue
             except FatalFaultError as err:
-                self._recover_crash(err, step, t0, report)
+                self._recover_fatal(err, step, t0, report)
                 continue
             self._commit(event, self._wall() - t0, report)
         report.steps_completed = self.loop.step
@@ -358,17 +363,8 @@ class Supervisor:
     def _maybe_checkpoint(self) -> None:
         if not self.checkpoint_every or self.loop.step % self.checkpoint_every:
             return
-        loop_state = {
-            "step": self.loop.step,
-            "observations_seen": self.loop.observations_seen,
-            "history": [[obs, loss] for obs, loss in self.loop.history],
-        }
         path = self.checkpoint_dir / f"ckpt_step{self.loop.step}.npz"
-        if self.spec.meta:
-            self.session.save_meta(path, loop_state=loop_state)
-        else:
-            self.session.save(path, loop=self.loop)
-        self._last_checkpoint = {"path": path, "step": self.loop.step}
+        self._save(path)
         self.ledger.checkpoint(self.checkpoint_cost_s)
         self.monitor.record_checkpoint(
             self.loop.step, "save", detail=f"durable checkpoint at {path.name}"
@@ -445,25 +441,9 @@ class Supervisor:
         old = self.spec
         candidate = decision.best_candidate
         step = self.loop.step
-        new_spec = old.replace(
-            tp_size=candidate.tp_size,
-            fsdp_size=candidate.fsdp_size,
-            ddp_size=candidate.ddp_size,
-            micro_batch=candidate.micro_batch,
-            recompute=candidate.recompute,
-            prefetch=candidate.prefetch,
-            tp_innermost=candidate.tp_innermost,
-            pp_size=candidate.pp_size,
-        )
+        new_spec = old.replace(**dataclasses.asdict(candidate))
         path = self.checkpoint_dir / f"replan_step{step}.npz"
-        if old.meta:
-            self.session.save_meta(path, loop_state={
-                "step": step,
-                "observations_seen": self.loop.observations_seen,
-                "history": [[obs, loss] for obs, loss in self.loop.history],
-            })
-        else:
-            self.session.save(path, loop=self.loop)
+        self._save(path)
         self.ledger.replan(decision.migration_cost_s)
         # Seed the new plan's clean baseline from the old plan's by the
         # projected clean-step ratio, so degradation-aware accounting
@@ -476,14 +456,7 @@ class Supervisor:
                 old_base * decision.best_clean_step_s
                 / decision.current_clean_step_s,
             )
-        self.spec = new_spec
-        self._build_session(new_spec)
-        if new_spec.meta:
-            state = self.session.resume_meta(path)
-        else:
-            state = self.session.resume_elastic(path)["loop"]
-        self._build_loop_from(state)
-        self._last_checkpoint = {"path": path, "step": step}
+        self._rebuild(new_spec, elastic=True)
         self._controller = None
         self._switch_info = {
             "decision": decision, "steps": 0, "seconds": 0.0, "degraded": 0,
@@ -548,7 +521,7 @@ class Supervisor:
             backoff = self.backoff_base_s * 2 ** (attempt - 1)
             self.ledger.retry(wasted, backoff)
             lost_total += wasted + backoff
-            self._restore_rng(rng_state)
+            self.session.data_rng.bit_generator.state = rng_state
             t0 = self._wall()
             try:
                 event = self.loop.run_step()
@@ -556,11 +529,8 @@ class Supervisor:
                 fault = again
                 wasted = (self._wall() - t0) + self.detect_timeout_s
                 continue
-            except NodeLossError as fatal:
-                self._recover_node_loss(fatal, step, t0, report)
-                return
             except FatalFaultError as fatal:
-                self._recover_crash(fatal, step, t0, report)
+                self._recover_fatal(fatal, step, t0, report)
                 return
             self._record(
                 report,
@@ -590,89 +560,15 @@ class Supervisor:
                 detail="escalating to rollback restart",
             )
         )
-        self._recover_crash(fault, step, t0, report)
+        self._restart(fault, step, t0, report, self.spec)
 
-    # -- crash recovery -----------------------------------------------------------
-    def _resume_state(self) -> dict | None:
-        """Loop resume state from the latest durable checkpoint."""
-        if self._last_checkpoint is None:
-            return None
-        path = self._last_checkpoint["path"]
-        if self.spec.meta:
-            return self.session.resume_meta(path)
-        meta = self.session.resume(path)
-        return meta["loop"]
-
-    def _resume_state_elastic(self) -> dict | None:
-        if self._last_checkpoint is None:
-            return None
-        path = self._last_checkpoint["path"]
-        if self.spec.meta:
-            return self.session.resume_meta(path)
-        meta = self.session.resume_elastic(path)
-        return meta["loop"]
-
-    def _recover_crash(self, err, step, t0, report) -> None:
-        if self.ledger.restarts >= self.max_restarts:
-            report.unrecovered.append(
-                f"restart budget ({self.max_restarts}) exhausted at step "
-                f"{step}: {err}"
-            )
-            self._record(
-                report,
-                RecoveryEvent(
-                    step=step, kind=self._kind_of(err), action="unrecovered",
-                    rank=self._rank_of(err), detail=str(err),
-                )
-            )
+    # -- fatal recovery: rollback restart, elastic on node loss -------------------
+    def _recover_fatal(self, err, step, t0, report) -> None:
+        """Restart a crash on the same spec; regroup a node loss elastically
+        onto the DDP-shrunken spec."""
+        if not isinstance(err, NodeLossError):
+            self._restart(err, step, t0, report, self.spec)
             return
-        attempt_s = (self._wall() - t0) + self.detect_timeout_s
-        lost_steps, lost_s = self.ledger.rollback(attempt_s)
-        self.ledger.restart(self.restart_latency_s)
-        resume_from = (
-            self._last_checkpoint["step"] if self._last_checkpoint else 0
-        )
-        self.monitor.record_checkpoint(
-            step, "rollback",
-            detail=f"rolling back from step {step} to step {resume_from}",
-        )
-        self._build_session(self.spec)
-        state = self._resume_state()
-        self._build_loop_from(state)
-        self._record(
-            report,
-            RecoveryEvent(
-                step=step,
-                kind=self._kind_of(err),
-                action="rollback_restart",
-                rank=self._rank_of(err),
-                lost_s=lost_s + self.restart_latency_s,
-                lost_steps=lost_steps,
-                detail=f"resumed from step {resume_from}",
-            )
-        )
-        _LOG.warning(
-            "crash at step %d: rolled back to step %d (%d step(s) to replay)",
-            step, resume_from, lost_steps,
-        )
-
-    def _build_loop_from(self, state: dict | None) -> None:
-        from repro.runtime import StepLoop
-
-        if state is None:
-            self.loop = StepLoop(self.session.step_fn(),
-                                 hooks=self.session.loop_hooks())
-        else:
-            self.loop = StepLoop(
-                self.session.step_fn(),
-                hooks=self.session.loop_hooks(),
-                start_step=state["step"],
-                observations_seen=state["observations_seen"],
-                history=[tuple(pair) for pair in state["history"]],
-            )
-
-    # -- elastic recovery ----------------------------------------------------------
-    def _recover_node_loss(self, err, step, t0, report) -> None:
         old = self.spec
         gpn = old.gpus_per_node
         rank = self._rank_of(err)
@@ -681,62 +577,78 @@ class Supervisor:
         try:
             new_spec = self._shrunken_spec(old, lost_ranks)
         except ElasticRecoveryError as impossible:
-            report.unrecovered.append(str(impossible))
-            self._record(
-                report,
-                RecoveryEvent(
-                    step=step, kind=self._kind_of(err), action="unrecovered",
-                    rank=rank, detail=str(impossible),
-                )
-            )
+            self._give_up(report, step, err, str(impossible), str(impossible))
             return
-        if self.ledger.restarts >= self.max_restarts:
-            report.unrecovered.append(
-                f"restart budget ({self.max_restarts}) exhausted at step "
-                f"{step}: {err}"
-            )
-            return
-        attempt_s = (self._wall() - t0) + self.detect_timeout_s
-        lost_steps, lost_s = self.ledger.rollback(attempt_s)
-        self.ledger.restart(self.restart_latency_s, elastic=True)
         mapping = {
             r: (r if r < node * gpn else r - gpn)
             for r in range(old.num_gpus)
             if r not in lost_ranks
         }
-        self.injector.remap_ranks(mapping)
+        self._restart(
+            err, step, t0, report, new_spec, remap=mapping,
+            note=(
+                f"node {node} lost: ddp {old.ddp_size}->{new_spec.ddp_size}, "
+                f"micro-batch {old.micro_batch}->{new_spec.micro_batch}, "
+            ),
+        )
+
+    def _restart(self, err, step, t0, report, spec, *, remap=None,
+                 note: str = "") -> None:
+        """Roll back to the last durable checkpoint and resume on ``spec``.
+
+        Past the restart budget the fault is journaled as
+        ``unrecovered`` instead.  ``remap`` (node loss only) renumbers
+        the surviving ranks; ``note`` prefixes the event's detail.
+        """
+        if self.ledger.restarts >= self.max_restarts:
+            self._give_up(
+                report, step, err,
+                f"restart budget ({self.max_restarts}) exhausted at step "
+                f"{step}: {err}",
+                str(err),
+            )
+            return
+        elastic = remap is not None
+        attempt_s = (self._wall() - t0) + self.detect_timeout_s
+        lost_steps, lost_s = self.ledger.rollback(attempt_s)
+        self.ledger.restart(self.restart_latency_s, elastic=elastic)
+        if elastic:
+            self.injector.remap_ranks(remap)
         resume_from = (
             self._last_checkpoint["step"] if self._last_checkpoint else 0
         )
         self.monitor.record_checkpoint(
             step, "rollback",
-            detail=f"rolling back from step {step} to step {resume_from} "
-                   f"(elastic regroup)",
+            detail=f"rolling back from step {step} to step {resume_from}"
+                   + (" (elastic regroup)" if elastic else ""),
         )
-        self.spec = new_spec
-        self._build_session(new_spec)
-        state = self._resume_state_elastic()
-        self._build_loop_from(state)
+        self._rebuild(spec, elastic=elastic)
         self._record(
             report,
             RecoveryEvent(
                 step=step,
                 kind=self._kind_of(err),
-                action="elastic_regroup",
-                rank=rank,
+                action="elastic_regroup" if elastic else "rollback_restart",
+                rank=self._rank_of(err),
                 lost_s=lost_s + self.restart_latency_s,
                 lost_steps=lost_steps,
-                detail=(
-                    f"node {node} lost: ddp {old.ddp_size}->{new_spec.ddp_size}, "
-                    f"micro-batch {old.micro_batch}->{new_spec.micro_batch}, "
-                    f"resumed from step {resume_from}"
-                ),
+                detail=f"{note}resumed from step {resume_from}",
             )
         )
         _LOG.warning(
-            "node %d lost at step %d: regrouped to %d GPUs (ddp=%d), "
-            "resumed from step %d",
-            node, step, new_spec.num_gpus, new_spec.ddp_size, resume_from,
+            "%s at step %d: %srolled back to step %d (%d step(s) to replay)",
+            self._kind_of(err), step, note, resume_from, lost_steps,
+        )
+
+    def _give_up(self, report, step, err, reason: str, detail: str) -> None:
+        """Record an unrecoverable fault in the report and the journal."""
+        report.unrecovered.append(reason)
+        self._record(
+            report,
+            RecoveryEvent(
+                step=step, kind=self._kind_of(err), action="unrecovered",
+                rank=self._rank_of(err), detail=detail,
+            )
         )
 
     @staticmethod

@@ -322,3 +322,9 @@ class NullMonitor:
 
 #: Shared module-level no-op monitor; the default handle everywhere.
 NULL_MONITOR = NullMonitor()
+
+
+def monitor_for(spec):
+    """The default monitor for ``spec``: a fresh :class:`RunMonitor`
+    when ``spec.monitor == "on"``, otherwise :data:`NULL_MONITOR`."""
+    return RunMonitor() if spec.monitor == "on" else NULL_MONITOR

@@ -47,21 +47,3 @@ class PeakFractionCompute:
         peak = self.cluster.device(rank).peak_flops_for(self.dtype)
         return flops / (peak * self.efficiency)
 
-
-def __getattr__(name):
-    # SkewedCompute moved to repro.faults.degradation (straggler
-    # injection is a fault-model concern); this shim keeps the old
-    # import path working with a warning.
-    if name == "SkewedCompute":
-        import warnings
-
-        from repro.faults.degradation import SkewedCompute
-
-        warnings.warn(
-            "repro.parallel.compute.SkewedCompute has moved to "
-            "repro.faults.degradation.SkewedCompute; update the import",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SkewedCompute
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,10 +1,20 @@
-"""Checkpoint archives for the runtime layer.
+"""The one checkpoint container of the repo.
 
 One ``.npz`` per checkpoint: every persisted array under a namespaced
-key, plus a JSON metadata blob.  :func:`save_archive`/:func:`load_archive`
-are the low-level container shared by :meth:`Session.save
-<repro.runtime.session.Session.save>` (sharded engine state) and
-:func:`save_trainer`/:func:`resume_trainer` (the serial Fig 8 path).
+key, plus a JSON metadata blob carrying a per-array crc32 manifest.
+:func:`save_archive`/:func:`load_archive` are the only writer and
+reader; the metadata's ``kind`` names what an archive holds:
+
+* ``module`` — one module's parameters
+  (:func:`repro.train.checkpoint.save_checkpoint`);
+* ``trainer`` — the serial Fig 8 trainer (:func:`save_trainer` /
+  :func:`resume_trainer`);
+* ``session`` — sharded engine state, optimizer moments and data RNG
+  (:meth:`Session.save <repro.runtime.session.Session.save>`);
+* ``supervisor-meta`` — the plan-independent RNG and step-loop position
+  of a meta-mode supervised run (:meth:`Session.save_meta
+  <repro.runtime.session.Session.save_meta>`).
+
 ``np.savez_compressed`` preserves array bits exactly, which is what
 makes bitwise resume-parity possible.
 """
@@ -75,6 +85,15 @@ def _verify_manifest(path: Path, arrays: dict, manifest: dict) -> None:
         )
 
 
+def namespace(arrays: dict, prefix: str) -> dict[str, np.ndarray]:
+    """The members keyed under ``prefix`` (e.g. ``"opt::"``), prefix removed."""
+    return {
+        key[len(prefix):]: value
+        for key, value in arrays.items()
+        if key.startswith(prefix)
+    }
+
+
 def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
                  tracer=None) -> Path:
     """Write namespaced arrays + JSON metadata to one ``.npz``.
@@ -104,8 +123,8 @@ def save_archive(path, arrays: dict[str, np.ndarray], metadata: dict,
     return path
 
 
-def load_archive(path, tracer=None,
-                 verify: bool = True) -> tuple[dict[str, np.ndarray], dict]:
+def load_archive(path, tracer=None, verify: bool = True,
+                 kind: str | None = None) -> tuple[dict[str, np.ndarray], dict]:
     """Read an archive written by :func:`save_archive`.
 
     Returns ``(arrays, metadata)``.  Raises
@@ -113,13 +132,17 @@ def load_archive(path, tracer=None,
     when the archive is unreadable, a member fails to decompress, or a
     schema-2 manifest check (checksum, shape, dtype, missing/extra
     member) fails; raises ``ValueError`` for archives from an unknown
-    schema version.  ``verify=False`` skips the manifest pass (already
-    trusted archives).
+    schema version, or whose metadata ``kind`` is not ``kind`` (when
+    given).  A missing file raises ``FileNotFoundError``: absent is not
+    corrupt.  ``verify=False`` skips the manifest pass (already trusted
+    archives).
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     path = Path(path)
     try:
         archive = np.load(path)
+    except FileNotFoundError:
+        raise
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
         raise CheckpointCorruptError(
             f"{path} is not a readable checkpoint archive: {err}"
@@ -156,6 +179,8 @@ def load_archive(path, tracer=None,
         )
     if verify and schema >= 2:
         _verify_manifest(path, arrays, metadata.get("manifest", {}))
+    if kind is not None and metadata.get("kind") != kind:
+        raise ValueError(f"{path} is not a {kind} checkpoint")
     nbytes = float(sum(np.asarray(a).nbytes for a in arrays.values()))
     tracer.instant("checkpoint", "load", nbytes=nbytes, arrays=len(arrays),
                    path=str(path))
@@ -190,11 +215,7 @@ def save_trainer(path, trainer, *, loop=None, loader=None,
         "user": metadata or {},
     }
     if loop is not None:
-        meta["loop"] = {
-            "step": loop.step,
-            "observations_seen": loop.observations_seen,
-            "history": [[obs, loss] for obs, loss in loop.history],
-        }
+        meta["loop"] = loop.state()
     if loader is not None:
         meta["loader"] = loader.state()
     return save_archive(path, arrays, meta, tracer=trainer.tracer)
@@ -207,20 +228,10 @@ def resume_trainer(path, trainer, *, loader=None) -> dict:
     carries the resume state for a new
     :class:`~repro.runtime.steploop.StepLoop`.
     """
-    arrays, meta = load_archive(path, tracer=trainer.tracer)
-    if meta.get("kind") != "trainer":
-        raise ValueError(f"{path} is not a trainer checkpoint")
-    trainer.model.load_state_dict({
-        key[len("param::"):]: value
-        for key, value in arrays.items()
-        if key.startswith("param::")
-    })
+    arrays, meta = load_archive(path, tracer=trainer.tracer, kind="trainer")
+    trainer.model.load_state_dict(namespace(arrays, "param::"))
     trainer.optimizer.load_state_dict({
-        "arrays": {
-            key[len("opt::"):]: value
-            for key, value in arrays.items()
-            if key.startswith("opt::")
-        },
+        "arrays": namespace(arrays, "opt::"),
         "scalars": meta["optimizer"],
     })
     trainer.step_count = meta["step"]

@@ -163,14 +163,9 @@ class Session:
             compute_model=compute_model,
         )
         if monitor is None:
-            if spec.monitor == "on":
-                from repro.obs.monitor import RunMonitor
+            from repro.obs.monitor import monitor_for
 
-                monitor = RunMonitor()
-            else:
-                from repro.obs.monitor import NULL_MONITOR
-
-                monitor = NULL_MONITOR
+            monitor = monitor_for(spec)
         #: Streaming telemetry handle (never None; NULL_MONITOR when off).
         self.monitor = monitor
         self.monitor.attach_session(self)
@@ -396,11 +391,7 @@ class Session:
         if trainer.grad_scaler is not None:
             meta["grad_scaler"] = trainer.grad_scaler.state_dict()
         if loop is not None:
-            meta["loop"] = {
-                "step": loop.step,
-                "observations_seen": loop.observations_seen,
-                "history": [[obs, loss] for obs, loss in loop.history],
-            }
+            meta["loop"] = loop.state()
         return save_archive(
             path, self._checkpoint_arrays(), meta, tracer=self.tracer
         )
@@ -439,9 +430,7 @@ class Session:
         """
         from repro.runtime.checkpoint import load_archive
 
-        _, meta = load_archive(path, tracer=self.tracer)
-        if meta.get("kind") != "supervisor-meta":
-            raise ValueError(f"{path} is not a supervisor-meta checkpoint")
+        _, meta = load_archive(path, tracer=self.tracer, kind="supervisor-meta")
         self.data_rng.bit_generator.state = meta["rng"]
         return meta["loop"]
 
@@ -452,41 +441,7 @@ class Session:
         (model, topology, grid, dtype) does not match this session's
         spec — resuming into a different world layout is never silent.
         """
-        from repro.runtime.checkpoint import load_archive
-
-        if self.spec.meta:
-            raise RuntimeError("meta-mode sessions cannot resume numeric state")
-        arrays, meta = load_archive(path, tracer=self.tracer)
-        if meta.get("kind") != "session":
-            raise ValueError(f"{path} is not a session checkpoint")
-        if meta["spec"] != self.spec.identity():
-            raise ValueError(
-                f"checkpoint {path} was written for {meta['spec']}, "
-                f"which does not match this session's {self.spec.identity()}"
-            )
-        for d in range(self.spec.ddp_size):
-            for name, param in self._dense_parameters(d).items():
-                value = arrays[f"{_DENSE}::{d}::{name}"]
-                if tuple(value.shape) != tuple(np.asarray(param.data).shape):
-                    raise ValueError(f"shape mismatch restoring dense {name}")
-                param.data = value
-            for i, sharded in enumerate(self.engine.sharded_parameters(d)):
-                for j in range(sharded.num_shards):
-                    sharded.shards[j] = arrays[f"{_SHARD}::{d}::{i}::{j}"]
-        trainer = self.trainer
-        trainer.optimizer.load_state_dict({
-            "arrays": {
-                key[len("opt::"):]: value
-                for key, value in arrays.items()
-                if key.startswith("opt::")
-            },
-            "scalars": meta["optimizer"],
-        })
-        trainer.step_count = meta["step"]
-        if trainer.grad_scaler is not None and "grad_scaler" in meta:
-            trainer.grad_scaler.load_state_dict(meta["grad_scaler"])
-        self.data_rng.bit_generator.state = meta["rng"]
-        return meta
+        return self._restore(path, elastic=False)
 
     def resume_elastic(self, path) -> dict:
         """Restore a checkpoint into a *shrunken* world (DDP axis only).
@@ -494,65 +449,38 @@ class Session:
         The elastic-recovery path: after losing a node, the supervisor
         rebuilds the session with a smaller ``ddp_size`` (micro-batch
         rescaled so the global batch is unchanged) and resumes from the
-        pre-loss archive.  Replicas are synchronized by construction —
-        every replica holds identical dense parameters, FSDP shards,
-        and optimizer moments — so the archive's replica 0 seeds every
-        surviving replica.  The model configuration, ``tp x fsdp``
+        pre-loss archive.  The model configuration, ``tp x fsdp``
         shape, rank layout, and dtype must still match exactly; only
         the DDP extent (and with it ``num_gpus`` / ``micro_batch``) may
         differ.  Returns the archive metadata.
         """
-        from repro.runtime.checkpoint import load_archive
+        return self._restore(path, elastic=True)
+
+    def _restore(self, path, *, elastic: bool) -> dict:
+        """The restore body of :meth:`resume` and :meth:`resume_elastic`.
+
+        Replicas are synchronized by construction — every replica holds
+        identical dense parameters, FSDP shards, and optimizer moments —
+        so the archive's DDP extent picks the source: replica ``d``
+        seeds replica ``d`` when the extent is unchanged, otherwise the
+        archive's replica 0 seeds every surviving replica.
+        """
+        from repro.runtime.checkpoint import load_archive, namespace
 
         if self.spec.meta:
             raise RuntimeError("meta-mode sessions cannot resume numeric state")
-        arrays, meta = load_archive(path, tracer=self.tracer)
-        if meta.get("kind") != "session":
-            raise ValueError(f"{path} is not a session checkpoint")
-        theirs, mine = meta["spec"], self.spec.identity()
-        fixed = ("config", "dtype", "tp_innermost")
-        for key in fixed:
-            if theirs[key] != mine[key]:
-                raise ValueError(
-                    f"elastic resume may only change the DDP extent; "
-                    f"{key} differs: {theirs[key]!r} vs {mine[key]!r}"
-                )
-        if theirs["grid"][:2] != mine["grid"][:2]:
+        arrays, meta = load_archive(path, tracer=self.tracer, kind="session")
+        old_ddp = self.spec.ddp_size
+        if elastic:
+            old_ddp = self._elastic_source_extent(meta["spec"])
+        elif meta["spec"] != self.spec.identity():
             raise ValueError(
-                f"elastic resume may only change the DDP extent; "
-                f"tp/fsdp differ: {theirs['grid'][:2]} vs {mine['grid'][:2]}"
+                f"checkpoint {path} was written for {meta['spec']}, "
+                f"which does not match this session's {self.spec.identity()}"
             )
-        # Pre-4D archives carry a 3-element grid: an implicit pp of 1.
-        old_pp = int(theirs["grid"][3]) if len(theirs["grid"]) > 3 else 1
-        if old_pp != int(mine["grid"][3]):
-            raise ValueError(
-                f"elastic resume may only change the DDP extent; "
-                f"pipeline depth differs: {old_pp} vs {mine['grid'][3]}"
-            )
-        old_ddp = int(theirs["grid"][2])
-        old_global = theirs["micro_batch"] * theirs["grid"][1] * old_ddp
-        if old_global != self.spec.observations:
-            raise ValueError(
-                f"elastic resume must preserve the global batch: archive "
-                f"carries {old_global}, this session {self.spec.observations}"
-            )
-        for d in range(self.spec.ddp_size):
-            for name, param in self._dense_parameters(d).items():
-                value = arrays[f"{_DENSE}::0::{name}"]
-                if tuple(value.shape) != tuple(np.asarray(param.data).shape):
-                    raise ValueError(f"shape mismatch restoring dense {name}")
-                param.data = value.copy()
-            for i, sharded in enumerate(self.engine.sharded_parameters(d)):
-                for j in range(sharded.num_shards):
-                    sharded.shards[j] = arrays[f"{_SHARD}::0::{i}::{j}"].copy()
         # Optimizer moments are positional over per-replica handle
-        # blocks (dense handles then shard views); reuse replica 0's
-        # block for every surviving replica.
-        opt_arrays = {
-            key[len("opt::"):]: value
-            for key, value in arrays.items()
-            if key.startswith("opt::")
-        }
+        # blocks (dense handles then shard views).
+        opt_arrays = namespace(arrays, "opt::")
         total_old = len(opt_arrays) // 2
         if total_old % old_ddp:
             raise ValueError(
@@ -560,14 +488,23 @@ class Session:
                 f"whole number of {old_ddp} replica blocks"
             )
         per_replica = total_old // old_ddp
-        remapped = {}
+        moments = {}
         for d in range(self.spec.ddp_size):
+            src = d if old_ddp == self.spec.ddp_size else 0
+            for name, param in self._dense_parameters(d).items():
+                value = arrays[f"{_DENSE}::{src}::{name}"]
+                if tuple(value.shape) != tuple(np.asarray(param.data).shape):
+                    raise ValueError(f"shape mismatch restoring dense {name}")
+                param.data = value.copy()
+            for i, sharded in enumerate(self.engine.sharded_parameters(d)):
+                for j in range(sharded.num_shards):
+                    sharded.shards[j] = arrays[f"{_SHARD}::{src}::{i}::{j}"].copy()
             for i in range(per_replica):
-                remapped[f"m::{d * per_replica + i}"] = opt_arrays[f"m::{i}"]
-                remapped[f"v::{d * per_replica + i}"] = opt_arrays[f"v::{i}"]
+                moments[f"m::{d * per_replica + i}"] = opt_arrays[f"m::{src * per_replica + i}"]
+                moments[f"v::{d * per_replica + i}"] = opt_arrays[f"v::{src * per_replica + i}"]
         trainer = self.trainer
         trainer.optimizer.load_state_dict({
-            "arrays": remapped,
+            "arrays": moments,
             "scalars": meta["optimizer"],
         })
         trainer.step_count = meta["step"]
@@ -575,6 +512,35 @@ class Session:
             trainer.grad_scaler.load_state_dict(meta["grad_scaler"])
         self.data_rng.bit_generator.state = meta["rng"]
         return meta
+
+    def _elastic_source_extent(self, theirs: dict) -> int:
+        """The archive's DDP extent, once every other axis is checked.
+
+        Raises ``ValueError`` unless the archive differs from this
+        session only in its DDP extent and preserves the global batch.
+        """
+        mine = self.spec.identity()
+        # Pre-4D archives carry a 3-element grid: an implicit pp of 1.
+        tp, fsdp, old_ddp, pp = (list(theirs["grid"]) + [1])[:4]
+        for what, old, new in (
+            ("config", theirs["config"], mine["config"]),
+            ("dtype", theirs["dtype"], mine["dtype"]),
+            ("tp_innermost", theirs["tp_innermost"], mine["tp_innermost"]),
+            ("tp/fsdp", [tp, fsdp], mine["grid"][:2]),
+            ("pipeline depth", pp, mine["grid"][3]),
+        ):
+            if old != new:
+                raise ValueError(
+                    f"elastic resume may only change the DDP extent; "
+                    f"{what} differs: {old!r} vs {new!r}"
+                )
+        old_global = theirs["micro_batch"] * fsdp * old_ddp
+        if old_global != self.spec.observations:
+            raise ValueError(
+                f"elastic resume must preserve the global batch: archive "
+                f"carries {old_global}, this session {self.spec.observations}"
+            )
+        return old_ddp
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "meta" if self.spec.meta else "numeric"

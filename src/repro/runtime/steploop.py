@@ -120,6 +120,16 @@ class StepLoop:
     def stop_requested(self) -> bool:
         return self._stop
 
+    def state(self) -> dict:
+        """The JSON-ready resume state checkpoints persist under ``"loop"``:
+        the inverse of the ``start_step``/``observations_seen``/``history``
+        constructor arguments."""
+        return {
+            "step": self.step,
+            "observations_seen": self.observations_seen,
+            "history": [[obs, loss] for obs, loss in self.history],
+        }
+
     # -- driving -------------------------------------------------------------
     def run_step(self) -> StepEvent:
         """Run exactly one step and fire its hooks."""

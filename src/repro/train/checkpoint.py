@@ -1,36 +1,28 @@
-"""Model checkpoint persistence (single .npz per checkpoint)."""
+"""Module checkpoints: one module's parameters in the shared archive.
+
+Thin wrappers over :func:`~repro.runtime.checkpoint.save_archive` /
+:func:`~repro.runtime.checkpoint.load_archive` (archive kind
+``module``), so a model checkpoint carries the same crc32 manifest as
+every other checkpoint in the repo.
+"""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-import numpy as np
-
 from repro.nn.module import Module
-from repro.obs.tracer import NULL_TRACER
+from repro.runtime.checkpoint import load_archive, namespace, save_archive
+
+_PARAM = "param::"
 
 
 def save_checkpoint(module: Module, path, metadata: dict | None = None, tracer=None) -> None:
     """Write every parameter (plus JSON metadata) to an ``.npz`` file.
 
-    An attached tracer receives a ``checkpoint`` marker (parameter
-    count/bytes) and an ``io`` marker for the archive write.
+    An attached tracer receives a ``checkpoint`` marker (array count/bytes)
+    and an ``io`` marker for the archive write.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    state = module.state_dict()
-    arrays = {f"param::{name}": np.asarray(value) for name, value in state.items()}
-    arrays["metadata"] = np.frombuffer(
-        json.dumps(metadata or {}).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(path, **arrays)
-    param_bytes = float(sum(a.nbytes for a in arrays.values()))
-    tracer.instant("checkpoint", "save", nbytes=param_bytes, params=len(state),
-                   path=str(path))
-    tracer.instant("io", "npz.write", nbytes=param_bytes)
-    tracer.metrics.counter("checkpoint.saves").inc()
+    arrays = {_PARAM + name: value for name, value in module.state_dict().items()}
+    save_archive(path, arrays, {"kind": "module", "user": metadata or {}},
+                 tracer=tracer)
 
 
 def load_checkpoint(module: Module, path, tracer=None) -> dict:
@@ -38,21 +30,10 @@ def load_checkpoint(module: Module, path, tracer=None) -> dict:
 
     Raises ``KeyError`` when the archive's parameter set does not match
     the module's (missing or extra keys), ``ValueError`` on shape
-    mismatches.
+    mismatches, ``FileNotFoundError`` when there is no archive, and
+    :class:`~repro.runtime.checkpoint.CheckpointCorruptError` when the
+    archive fails its integrity checks.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    path = Path(path)
-    with np.load(path) as archive:
-        state = {
-            key[len("param::"):]: archive[key]
-            for key in archive.files
-            if key.startswith("param::")
-        }
-        metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
-    module.load_state_dict(state)
-    param_bytes = float(sum(np.asarray(v).nbytes for v in state.values()))
-    tracer.instant("checkpoint", "load", nbytes=param_bytes, params=len(state),
-                   path=str(path))
-    tracer.instant("io", "npz.read", nbytes=param_bytes)
-    tracer.metrics.counter("checkpoint.loads").inc()
-    return metadata
+    arrays, meta = load_archive(path, tracer=tracer, kind="module")
+    module.load_state_dict(namespace(arrays, _PARAM))
+    return meta["user"]

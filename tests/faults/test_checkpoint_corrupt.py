@@ -79,6 +79,14 @@ class TestStructuralDamage:
         with pytest.raises(CheckpointCorruptError):
             load_archive(path)
 
+    def test_missing_file_is_not_corrupt(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_archive(tmp_path / "absent.npz")
+
+    def test_kind_mismatch_is_value_error(self, archive):
+        with pytest.raises(ValueError, match="not a trainer checkpoint"):
+            load_archive(archive, kind="trainer")
+
     def test_corrupted_zip_member_names_the_member(self, archive, tmp_path):
         # Rewrite the zip with one member's compressed payload mangled.
         broken = tmp_path / "member.npz"

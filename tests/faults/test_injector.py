@@ -198,11 +198,3 @@ class TestSeededSkew:
         with pytest.raises(ValueError):
             seeded_skew_profile(0, 4, min_factor=0.9)
 
-
-class TestDeprecationShim:
-    def test_old_import_path_warns_and_resolves(self):
-        import repro.faults.degradation as degradation
-
-        with pytest.warns(DeprecationWarning, match="repro.faults.degradation"):
-            from repro.parallel.compute import SkewedCompute
-        assert SkewedCompute is degradation.SkewedCompute

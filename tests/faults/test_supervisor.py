@@ -164,6 +164,25 @@ class TestElasticRegroup:
         assert report.recovered
         assert report.final_spec["grid"][2] == 2 and report.final_spec["micro_batch"] == 2
 
+    def test_exhausted_restart_budget_is_journaled(self):
+        from repro.obs import RunMonitor
+
+        monitor = RunMonitor()
+        spec = _meta_spec(ddp_size=4, micro_batch=1)
+        plan = FaultPlan(faults=(FaultSpec(kind="node_loss", step=1, rank=0),))
+        report = Supervisor(
+            spec, plan, max_restarts=0, session_kwargs={"monitor": monitor},
+        ).run(4)
+        assert not report.recovered
+        assert any("restart budget" in msg for msg in report.unrecovered)
+        unrecovered = [e for e in report.events if e.action == "unrecovered"]
+        assert len(unrecovered) == 1 and unrecovered[0].kind == "node_loss"
+        journaled = [
+            e for e in monitor.journal.events
+            if e.kind == "recovery" and e.data["action"] == "unrecovered"
+        ]
+        assert [e.data for e in journaled] == [unrecovered[0].as_dict()]
+
     def test_survivors_cannot_host_replica(self):
         spec = _meta_spec(num_gpus=8, gpus_per_node=8, tp_size=2, fsdp_size=2,
                           ddp_size=2)

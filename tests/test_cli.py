@@ -297,3 +297,25 @@ class TestMonitorCommand:
     def test_plan_and_random_are_mutually_exclusive(self, capsys):
         assert main(["monitor", "--plan", self.PLAN, "--random", "7"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+class TestCheckpointScratch:
+    """Without --checkpoint-dir, supervised commands clean up after themselves."""
+
+    def test_replan_compare_leaves_no_checkpoint_dir(self, tmp_path, monkeypatch,
+                                                     capsys):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["replan", "--quiet", "--compare"]) == 0
+        assert "replan=off" in capsys.readouterr().out
+        assert not list(tmp_path.glob("repro-replan-*"))
+
+    def test_faults_without_checkpoints_creates_no_dir(self, tmp_path, monkeypatch,
+                                                       capsys):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["faults", "--random", "3", "--count", "1", "--steps", "4",
+                     "--checkpoint-every", "0"]) == 0
+        assert not list(tmp_path.glob("repro-faults-*"))

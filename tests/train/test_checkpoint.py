@@ -85,7 +85,7 @@ class TestTracing:
         save_span = next(s for s in tracer.spans if s.name == "save")
         assert save_span.dur == 0.0  # markers are instants off the busy clock
         assert save_span.nbytes > 0.0
-        assert save_span.attrs["params"] == len(model.state_dict())
+        assert save_span.attrs["arrays"] == len(model.state_dict())
         counters = tracer.metrics.as_dict()["counters"]
         assert counters["checkpoint.saves"] == 1.0
         assert counters["checkpoint.loads"] == 1.0
