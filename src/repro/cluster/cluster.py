@@ -67,7 +67,8 @@ class VirtualCluster:
         if not track_device_memory:
             for device in self.devices:
                 device.memory.capacity_bytes = None
-        self.world = ProcessGroup(self, range(num_gpus))
+        self._groups: dict[tuple, ProcessGroup] = {}
+        self.world = self.new_group(range(num_gpus))
 
     @property
     def world_size(self) -> int:
@@ -79,8 +80,16 @@ class VirtualCluster:
         return self.devices[rank]
 
     def new_group(self, ranks: Sequence[int]) -> ProcessGroup:
-        """Create a process group over the given global ranks."""
-        return ProcessGroup(self, ranks)
+        """The process group over the given global ranks, in this order.
+
+        Groups are immutable, so one object serves every request for
+        the same rank sequence; a different order is a different group.
+        """
+        key = tuple(ranks)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = ProcessGroup(self, key)
+        return group
 
     def install_timeline(self, timeline: Timeline) -> None:
         """Replace the timeline (e.g. with a

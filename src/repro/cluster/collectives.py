@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.process_group import ProcessGroup
-from repro.meta import MetaArray, is_meta, nbytes_of
+from repro.meta import MetaArray, nbytes_of
 
 _REDUCE_OPS = ("sum", "mean", "max", "min")
 
@@ -43,10 +43,10 @@ def _check_buffers(group: ProcessGroup, buffers: Sequence) -> bool:
         raise ValueError(
             f"expected {group.size} buffers (one per group member), got {len(buffers)}"
         )
-    metas = [is_meta(b) for b in buffers]
-    if any(metas) and not all(metas):
+    metas = {issubclass(kind, MetaArray) for kind in set(map(type, buffers))}
+    if len(metas) > 1:
         raise TypeError("cannot mix MetaArray and ndarray buffers in one collective")
-    return metas[0]
+    return metas.pop()
 
 
 def _reduce(stack: np.ndarray, op: str) -> np.ndarray:
@@ -77,7 +77,7 @@ def all_gather(
 ) -> list:
     """Concatenate per-member shards; every member receives the result."""
     meta = _check_buffers(group, shards)
-    total_bytes = sum(nbytes_of(s) for s in shards)
+    total_bytes = sum(map(nbytes_of, shards))
     seconds = group.cluster.cost_model.all_gather(group.ranks, total_bytes)
     _record(group, seconds, total_bytes, overlappable, "all_gather")
     if group.size == 1:
@@ -169,7 +169,7 @@ def scatter(
         raise ValueError(f"scatter needs {group.size} shards, got {len(shards)}")
     if not 0 <= root < group.size:
         raise ValueError(f"root {root} outside group of size {group.size}")
-    total_bytes = sum(nbytes_of(s) for s in shards)
+    total_bytes = sum(map(nbytes_of, shards))
     seconds = group.cluster.cost_model.scatter(group.ranks, total_bytes)
     _record(group, seconds, total_bytes, overlappable, "scatter")
     return list(shards)
@@ -186,7 +186,7 @@ def gather(
     meta = _check_buffers(group, shards)
     if not 0 <= root < group.size:
         raise ValueError(f"root {root} outside group of size {group.size}")
-    total_bytes = sum(nbytes_of(s) for s in shards)
+    total_bytes = sum(map(nbytes_of, shards))
     seconds = group.cluster.cost_model.gather(group.ranks, total_bytes)
     _record(group, seconds, total_bytes, overlappable, "gather")
     if meta:
@@ -206,7 +206,7 @@ def all_to_all(group: ProcessGroup, blocks: Sequence[Sequence], overlappable: bo
     for i, row in enumerate(blocks):
         if len(row) != group.size:
             raise ValueError(f"block row {i} has {len(row)} entries, expected {group.size}")
-    per_rank_bytes = max(sum(nbytes_of(b) for b in row) for row in blocks)
+    per_rank_bytes = max(sum(map(nbytes_of, row)) for row in blocks)
     seconds = group.cluster.cost_model.all_to_all(group.ranks, per_rank_bytes)
     _record(group, seconds, per_rank_bytes, overlappable, "all_to_all")
     return [[blocks[i][j] for i in range(group.size)] for j in range(group.size)]

@@ -29,8 +29,17 @@ class CollectiveCostModel:
 
     topology: FrontierTopology
 
+    def __post_init__(self):
+        # One link spec per distinct rank set: a folded 49,152-GCD step
+        # prices thousands of collectives over a handful of groups.
+        object.__setattr__(self, "_specs", {})
+
     def _spec(self, ranks: Sequence[int]) -> LinkSpec:
-        return self.topology.effective_bandwidth(ranks)
+        key = tuple(ranks)
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = self._specs[key] = self.topology.effective_bandwidth(key)
+        return spec
 
     @staticmethod
     def _steps(alpha: float, beta: float, steps: int, bytes_per_step: float) -> float:

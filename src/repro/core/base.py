@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
+from repro.core.sharding import ShardedParameter
 from repro.nn.context import ExecutionContext, execution_context
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,6 +66,18 @@ class HybridModuleBase:
 
     def rank(self, fsdp: int, tp: int) -> int:
         return self.plan.rank(self.ddp_index, fsdp, tp)
+
+    def shard(self, full, name: str, tp: int):
+        """Flat-shard ``full`` over this replica's FSDP group ``tp``.
+
+        The persistent shard memory lands on the timeline's tracked
+        ranks (see :meth:`~repro.core.sharding.ShardedParameter.track_memory`).
+        """
+        return ShardedParameter(
+            full, self.fsdp_size, name,
+            devices=self.plan.fsdp_devices(self.ddp_index, tp),
+            timeline=self.plan.cluster.timeline,
+        )
 
     # -- symmetry folding ------------------------------------------------------
     def fold_fsdp(self, iterable):

@@ -12,9 +12,8 @@ from typing import Sequence
 
 from repro.cluster.collectives import all_gather, all_reduce, reduce_scatter
 from repro.cluster.process_group import ProcessGroup
-from repro.core.sharding import ShardedParameter, flat_pad_shard, flat_unshard
+from repro.core.sharding import ShardedParameter, flat_pad, flat_unshard
 from repro.meta import nbytes_of
-from repro.nn import ops
 
 
 class GatheredParam:
@@ -128,9 +127,7 @@ def reduce_scatter_grads(
                     f"{param.name}: gradient shape {tuple(grad.shape)} != logical "
                     f"{param.logical_shape}"
                 )
-            shards = flat_pad_shard(grad, group.size)
-            flat = ops.concat(shards, axis=0)
-            flat_cache[id(grad)] = flat
+            flat = flat_cache[id(grad)] = flat_pad(grad, group.size)
         flat_per_rank.append(flat)
     with group.cluster.tracer.scope("grad", param.name):
         shard_lists = reduce_scatter(group, flat_per_rank, op="sum", overlappable=overlappable)

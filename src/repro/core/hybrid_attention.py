@@ -92,7 +92,6 @@ class HybridSTOPAttention(HybridModuleBase):
         self.local_dim = self.dim // K  # columns owned per tensor-parallel rank
         self.local_head_dim = self.local_dim // self.heads_per_rank
 
-        F_ = plan.fsdp_size
         self._params: dict[str, list[ShardedParameter]] = {}
         for pname, weight, bias in (
             ("wq", serial.wq.weight.data, serial.wq.bias.data),
@@ -102,44 +101,23 @@ class HybridSTOPAttention(HybridModuleBase):
             w_shards = column_shards(weight, K)
             b_shards = column_shards(bias, K)
             self._params[pname] = [
-                ShardedParameter(
-                    w_shards[k], F_, f"{name}.{pname}{k}", devices=plan.fsdp_devices(ddp_index, k)
-                )
-                for k in range(K)
+                self.shard(w_shards[k], f"{name}.{pname}{k}", k) for k in range(K)
             ]
             self._params[f"{pname}_bias"] = [
-                ShardedParameter(
-                    b_shards[k], F_, f"{name}.{pname}_b{k}", devices=plan.fsdp_devices(ddp_index, k)
-                )
-                for k in range(K)
+                self.shard(b_shards[k], f"{name}.{pname}_b{k}", k) for k in range(K)
             ]
         # W_o row shards: rows [k*D/K, (k+1)*D/K) == transposed column shards.
         wo_rows = column_shards(ops.swapaxes(serial.wo.weight.data, -1, -2), K)
         self._params["wo"] = [
-            ShardedParameter(
-                ops.swapaxes(wo_rows[k], -1, -2),
-                F_,
-                f"{name}.wo{k}",
-                devices=plan.fsdp_devices(ddp_index, k),
-            )
+            self.shard(ops.swapaxes(wo_rows[k], -1, -2), f"{name}.wo{k}", k)
             for k in range(K)
         ]
-        self.wo_bias = ShardedParameter(
-            serial.wo.bias.data, F_, f"{name}.wo_bias", devices=plan.fsdp_devices(ddp_index, 0)
-        )
+        self.wo_bias = self.shard(serial.wo.bias.data, f"{name}.wo_bias", 0)
         if self.qk_layernorm:
-            self.ln_q_gamma = ShardedParameter(
-                serial.ln_q.gamma.data, F_, f"{name}.lnq_g", devices=plan.fsdp_devices(ddp_index, 0)
-            )
-            self.ln_q_beta = ShardedParameter(
-                serial.ln_q.beta.data, F_, f"{name}.lnq_b", devices=plan.fsdp_devices(ddp_index, 0)
-            )
-            self.ln_k_gamma = ShardedParameter(
-                serial.ln_k.gamma.data, F_, f"{name}.lnk_g", devices=plan.fsdp_devices(ddp_index, 0)
-            )
-            self.ln_k_beta = ShardedParameter(
-                serial.ln_k.beta.data, F_, f"{name}.lnk_b", devices=plan.fsdp_devices(ddp_index, 0)
-            )
+            self.ln_q_gamma = self.shard(serial.ln_q.gamma.data, f"{name}.lnq_g", 0)
+            self.ln_q_beta = self.shard(serial.ln_q.beta.data, f"{name}.lnq_b", 0)
+            self.ln_k_gamma = self.shard(serial.ln_k.gamma.data, f"{name}.lnk_g", 0)
+            self.ln_k_beta = self.shard(serial.ln_k.beta.data, f"{name}.lnk_b", 0)
         self.ln_eps = serial.ln_q.eps if self.qk_layernorm else 1e-5
         self._subhead_groups: dict[int, object] = {}
 

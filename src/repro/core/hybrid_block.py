@@ -29,7 +29,6 @@ from repro.core.base import HybridModuleBase
 from repro.core.fsdp_ops import reduce_scatter_grads
 from repro.core.hybrid_attention import HybridSTOPAttention
 from repro.core.hybrid_linear import HybridSTOPMLP
-from repro.core.sharding import ShardedParameter
 from repro.meta import nbytes_of
 from repro.nn import functional as F
 from repro.nn import ops
@@ -42,14 +41,8 @@ class _ShardedLayerNorm(HybridModuleBase):
     def __init__(self, serial_ln, plan, ddp_index=0, prefetch=False, compute_model=None, name="ln"):
         super().__init__(plan, ddp_index, prefetch, compute_model, name)
         self.eps = serial_ln.eps
-        self.gamma = ShardedParameter(
-            serial_ln.gamma.data, plan.fsdp_size, f"{name}.gamma",
-            devices=plan.fsdp_devices(ddp_index, 0),
-        )
-        self.beta = ShardedParameter(
-            serial_ln.beta.data, plan.fsdp_size, f"{name}.beta",
-            devices=plan.fsdp_devices(ddp_index, 0),
-        )
+        self.gamma = self.shard(serial_ln.gamma.data, f"{name}.gamma", 0)
+        self.beta = self.shard(serial_ln.beta.data, f"{name}.beta", 0)
 
     def sharded_parameters(self):
         return [self.gamma, self.beta]

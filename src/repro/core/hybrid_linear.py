@@ -59,25 +59,14 @@ class HybridSTOPMLP(HybridModuleBase):
             )
         self.dim = serial.dim
         self.hidden_dim = serial.hidden_dim
-        K, F_ = plan.tp_size, plan.fsdp_size
+        K = plan.tp_size
         a_cols = column_shards(serial.fc1.weight.data, K)
         b1_cols = column_shards(serial.fc1.bias.data, K)
         b_rows = row_shards(serial.fc2.weight.data, K)
-        self.a = [
-            ShardedParameter(a_cols[k], F_, f"{name}.a{k}", devices=plan.fsdp_devices(ddp_index, k))
-            for k in range(K)
-        ]
-        self.b1 = [
-            ShardedParameter(b1_cols[k], F_, f"{name}.b1_{k}", devices=plan.fsdp_devices(ddp_index, k))
-            for k in range(K)
-        ]
-        self.b = [
-            ShardedParameter(b_rows[k], F_, f"{name}.b{k}", devices=plan.fsdp_devices(ddp_index, k))
-            for k in range(K)
-        ]
-        self.b2 = ShardedParameter(
-            serial.fc2.bias.data, F_, f"{name}.b2", devices=plan.fsdp_devices(ddp_index, 0)
-        )
+        self.a = [self.shard(a_cols[k], f"{name}.a{k}", k) for k in range(K)]
+        self.b1 = [self.shard(b1_cols[k], f"{name}.b1_{k}", k) for k in range(K)]
+        self.b = [self.shard(b_rows[k], f"{name}.b{k}", k) for k in range(K)]
+        self.b2 = self.shard(serial.fc2.bias.data, f"{name}.b2", 0)
 
     # -- parameter access (tests / optimizer) ----------------------------------
     def sharded_parameters(self) -> list[ShardedParameter]:

@@ -43,20 +43,33 @@ def row_shards(matrix, num_shards: int) -> list:
     return [np.ascontiguousarray(s) for s in np.split(np.asarray(matrix), num_shards, axis=-2)]
 
 
-def flat_pad_shard(array, num_shards: int) -> list:
-    """Flatten, zero-pad to a multiple of ``num_shards``, split evenly.
+def flat_pad(array, num_shards: int):
+    """Flatten and zero-pad to a multiple of ``num_shards``.
 
-    The inverse is :func:`flat_unshard` with the original shape.
+    The padded flat buffer that :func:`flat_pad_shard` splits: what an
+    FSDP member contributes to a gradient reduce-scatter.  Without
+    padding the result may be a view of ``array``.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be positive")
     size = int(array.size)
     padded = math.ceil(size / num_shards) * num_shards if size else num_shards
     if is_meta(array):
-        return [MetaArray((padded // num_shards,), array.dtype)] * num_shards
+        return MetaArray((padded,), array.dtype)
     flat = np.asarray(array).reshape(-1)
     if padded != size:
         flat = np.concatenate([flat, np.zeros(padded - size, flat.dtype)])
+    return flat
+
+
+def flat_pad_shard(array, num_shards: int) -> list:
+    """Flatten, zero-pad to a multiple of ``num_shards``, split evenly.
+
+    The inverse is :func:`flat_unshard` with the original shape.
+    """
+    flat = flat_pad(array, num_shards)
+    if is_meta(flat):
+        return [MetaArray((flat.size // num_shards,), flat.dtype)] * num_shards
     return [np.ascontiguousarray(s) for s in np.split(flat, num_shards)]
 
 
@@ -88,26 +101,47 @@ class ShardedParameter:
         Used for memory-tracker tags and error messages.
     devices:
         Optional per-shard devices; when given, persistent shard memory
-        is allocated on each (tag ``params.<name>``).
+        is allocated on them (tag ``params.<name>``).
+    timeline:
+        Optional timeline narrowing those allocations to its
+        :meth:`~repro.cluster.timeline.Timeline.tracked_ranks` — on a
+        folded timeline, the class representatives, whose devices see
+        the full allocation pattern.  :meth:`track_memory` backfills the
+        rest once the timeline tracks them.
     """
 
-    def __init__(self, full, num_shards: int, name: str = "param", devices=None):
+    def __init__(self, full, num_shards: int, name: str = "param", devices=None,
+                 timeline=None):
         self.logical_shape = tuple(full.shape)
         self.dtype = full.dtype
         self.name = name
         self.shards = flat_pad_shard(full, num_shards)
         self.grad_shards: list | None = None
-        self._allocations = []
+        #: ``(device, allocation)`` pairs of the persistent shard memory.
+        self._allocations: list = []
+        self.devices = None
         if devices is not None:
             if len(devices) != num_shards:
                 raise ValueError(f"need {num_shards} devices, got {len(devices)}")
-            for device, shard in zip(devices, self.shards):
-                self._allocations.append(
-                    device.memory.allocate(nbytes_of(shard), tag=f"params.{name}")
-                )
             self.devices = list(devices)
-        else:
-            self.devices = None
+            self.track_memory(timeline)
+
+    def track_memory(self, timeline=None) -> None:
+        """Allocate the shard bytes on every tracked device lacking them.
+
+        All devices without a ``timeline``; otherwise those among its
+        :meth:`~repro.cluster.timeline.Timeline.tracked_ranks`.
+        """
+        if self.devices is None:
+            return
+        held = {device.rank for device, _ in self._allocations}
+        ranks = [device.rank for device in self.devices]
+        tracked = set(ranks if timeline is None else timeline.tracked_ranks(ranks))
+        nbytes, tag = self.shard_nbytes, f"params.{self.name}"
+        for device in self.devices:
+            if device.rank in tracked and device.rank not in held:
+                self._allocations.append(
+                    (device, device.memory.allocate(nbytes, tag=tag)))
 
     @property
     def num_shards(self) -> int:
@@ -145,11 +179,10 @@ class ShardedParameter:
 
     def free(self) -> None:
         """Release the persistent shard allocations (simulated)."""
-        if self.devices is not None:
-            for device, alloc in zip(self.devices, self._allocations):
-                device.memory.free(alloc)
-            self._allocations = []
-            self.devices = None
+        for device, alloc in self._allocations:
+            device.memory.free(alloc)
+        self._allocations = []
+        self.devices = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -217,9 +217,15 @@ class HybridSTOPEngine:
 
         Called when a folded run drops to exact mode (fault window): the
         per-replica module structure must exist for every ``d`` before
-        the next unfolded step executes.  Construction is pure
-        bookkeeping — it records no timeline events.
+        the next unfolded step executes, and the persistent shard memory
+        the folded construction kept on class representatives only is
+        backfilled on the built replicas' other devices.  Construction
+        is pure bookkeeping — it records no timeline events.
         """
+        timeline = self.plan.cluster.timeline
+        for trunk in self.trunks:
+            for param in trunk.sharded_parameters():
+                param.track_memory(timeline)
         for d in range(len(self.trunks), self.plan.ddp_size):
             self._build_replica(d, clone_module(self._model_template))
 
@@ -521,8 +527,8 @@ class HybridSTOPEngine:
         for p0 in self.trunks[0].sharded_parameters():
             for j in timeline.fold_iter("fsdp", range(p0.num_shards)):
                 base = p0.devices[j].rank
-                ranks = [base + d * ddp_stride for d in range(D)]
-                group = plan.cluster.new_group(ranks)
+                group = plan.cluster.new_group(
+                    range(base, base + D * ddp_stride, ddp_stride))
                 reduced = all_reduce(group, [p0.grad_shards[j]] * D, op="sum")
                 grad = reduced[0]
                 p0.grad_shards[j] = grad if is_meta(grad) else np.array(grad, copy=True)

@@ -217,6 +217,24 @@ class TestFaultFallback:
         assert modes == [True, False, False]
         _assert_bitwise_equal(exact, folded)
 
+    def test_unfold_backfills_persistent_shard_memory(self):
+        """A folded construction keeps shard memory on class
+        representatives only; unfolding must backfill replica 0's other
+        devices so the exact steps see every device as an unfolded run
+        does."""
+        plan = FaultPlan(faults=(
+            FaultSpec(FaultKind.STRAGGLER, step=1, rank=5, factor=2.0),
+        ))
+        kwargs = dict(num_steps=3)
+        exact, _ = _run(_spec((2, 4, 2), fold="off", **kwargs), plan)
+        folded, modes = _run(_spec((2, 4, 2), fold="on", **kwargs), plan)
+        assert modes == [True, False, False]
+        for rank in range(16):
+            on, off = folded.cluster.device(rank).memory, exact.cluster.device(rank).memory
+            assert on.breakdown() == off.breakdown(), f"rank {rank}"
+            assert on.peak_bytes == off.peak_bytes, f"rank {rank}"
+        assert folded.peak_memory_bytes() == exact.peak_memory_bytes()
+
     def test_link_degrade_forces_exact_for_its_window(self):
         plan = FaultPlan(faults=(
             FaultSpec(FaultKind.LINK_DEGRADE, step=1, rank=3, factor=3.0,

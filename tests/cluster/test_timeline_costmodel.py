@@ -137,6 +137,23 @@ class TestVirtualCluster:
         with pytest.raises(ValueError):
             cluster.new_group([])
 
+    def test_new_group_returns_one_group_per_rank_sequence(self):
+        cluster = VirtualCluster(num_gpus=16)
+        group = cluster.new_group([0, 8, 4])
+        assert cluster.new_group((0, 8, 4)) is group
+        assert cluster.new_group(iter([0, 8, 4])) is group
+        reordered = cluster.new_group([4, 0, 8])
+        assert reordered is not group
+        assert reordered.ranks == (4, 0, 8)
+        assert cluster.new_group(range(16)) is cluster.world
+        # A cached group never bypasses validation of a new rank set.
+        with pytest.raises(ValueError, match="duplicate"):
+            cluster.new_group([0, 8, 0])
+        with pytest.raises(ValueError, match="outside world"):
+            cluster.new_group([0, 16])
+        with pytest.raises(ValueError, match="duplicate"):
+            cluster.new_group([0, 8, 0])
+
     def test_group_local_mapping(self):
         cluster = VirtualCluster(num_gpus=8)
         group = cluster.new_group([4, 2, 6])

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import VirtualCluster
+from repro.cluster.symmetry import RankClassPartition
+from repro.cluster.timeline import FoldedTimeline
 from repro.core import (
     chain_backward_reference,
     chain_forward_reference,
@@ -17,6 +19,7 @@ from repro.core import (
     row_shards,
     ShardedParameter,
 )
+from repro.core.sharding import flat_pad
 from repro.meta import MetaArray, is_meta
 from repro.nn import functional as F
 
@@ -65,6 +68,10 @@ class TestShardLayouts:
     def test_property_flat_roundtrip(self, rows, cols, num):
         m = np.random.default_rng(0).normal(size=(rows, cols))
         np.testing.assert_array_equal(flat_unshard(flat_pad_shard(m, num), (rows, cols)), m)
+        # The padded flat buffer is exactly the shards laid end to end.
+        np.testing.assert_array_equal(flat_pad(m, num), np.concatenate(flat_pad_shard(m, num)))
+        meta = flat_pad(MetaArray((rows, cols)), num)
+        assert meta.shape == (num * flat_pad_shard(MetaArray((rows, cols)), num)[0].size,)
 
 
 class TestShardedParameter:
@@ -89,6 +96,39 @@ class TestShardedParameter:
         assert cluster.device(0).memory.current_bytes == 32  # 8 floats
         param.free()
         assert cluster.device(0).memory.current_bytes == 0
+
+    def test_free_releases_exactly_the_tracked_allocations(self):
+        """On a folded timeline only class representatives hold shard
+        memory; backfilling after an unfold and freeing both touch
+        exactly the devices that allocated."""
+        cluster = VirtualCluster(num_gpus=16)
+        partition = RankClassPartition(tp_size=2, fsdp_size=4, ddp_size=2)
+        timeline = FoldedTimeline(16, partition)
+        ranks = [partition.rank(0, f, 1) for f in range(4)]  # 1, 3, 5, 7
+        devices = [cluster.device(r) for r in ranks]
+        for device in devices:
+            device.memory.allocate(100 * (device.rank + 1), tag="other")
+        before = [device.memory.current_bytes for device in devices]
+
+        param = ShardedParameter(MetaArray((10, 3)), 4, "w", devices=devices,
+                                 timeline=timeline)
+        shard = param.shard_nbytes
+        held = [device.memory.current_bytes - b for device, b in zip(devices, before)]
+        assert held == [shard, shard, 0, 0]  # representatives f=0, f=1
+
+        param.free()
+        assert [device.memory.current_bytes for device in devices] == before
+
+        param = ShardedParameter(MetaArray((10, 3)), 4, "w", devices=devices,
+                                 timeline=timeline)
+        timeline.unfold()
+        param.track_memory(timeline)
+        param.track_memory(timeline)  # idempotent
+        held = [device.memory.current_bytes - b for device, b in zip(devices, before)]
+        assert held == [shard] * 4
+        param.free()
+        assert [device.memory.current_bytes for device in devices] == before
+        assert param.devices is None
 
     def test_wrong_device_count_rejected(self):
         cluster = VirtualCluster(num_gpus=2)
