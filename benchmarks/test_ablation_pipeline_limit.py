@@ -2,20 +2,19 @@
 
 The paper dismisses pipeline parallelism because "the scalability for
 pipeline parallelism is limited by the number of model layers".  This
-benchmark makes that executable: the pipeline engine refuses more
-stages than layers, its maximal model size plateaus once GPUs exceed
-the 56-layer depth, while Hybrid-STOP keeps scaling; and the GPipe
-bubble shrinks only with more micro-batches — i.e. more memory.
+benchmark makes that executable on the stage machinery of the engine's
+pipeline axis: the partition refuses more stages than layers, the
+maximal pipelined model size plateaus once GPUs exceed the 56-layer
+depth, while Hybrid-STOP keeps scaling; and the 1F1B bubble shrinks
+only with more micro-batches — i.e. more memory.
 """
 
-import numpy as np
 import pytest
 
-from repro.cluster import VirtualCluster
 from repro.memory.estimator import MemoryModel, Parallelism
 from repro.models import ORBIT_113B
-from repro.nn.transformer import TransformerStack
-from repro.parallel import PipelineLimitError, PipelineParallelTrunk
+from repro.parallel import PipelineLimitError
+from repro.parallel.stages import bubble_fraction, partition_blocks
 
 
 def _max_sizes():
@@ -39,10 +38,8 @@ def test_pipeline_layer_limit(once):
     print(f"\nmax model size, pipeline vs Hybrid-STOP:\n{rows}")
 
     # The executable limit: stages cannot exceed layers.
-    serial = TransformerStack(8, 2, 2, rng=0)
-    cluster = VirtualCluster(num_gpus=4)
     with pytest.raises(PipelineLimitError):
-        PipelineParallelTrunk(serial, cluster, num_stages=3)
+        partition_blocks(2, 3)
 
     # The scaling consequence: pipeline plateaus at depth (56 layers for
     # the 113B template), Hybrid-STOP keeps growing.
@@ -50,7 +47,5 @@ def test_pipeline_layer_limit(once):
     assert sizes[512]["hybrid"] > 1.5 * sizes[512]["pipeline"]
 
     # And the bubble: halving it requires ~doubling in-flight micro-batches.
-    serial = TransformerStack(8, 8, 2, rng=0)
-    cluster = VirtualCluster(num_gpus=8)
-    pipe = PipelineParallelTrunk(serial, cluster, num_stages=8)
-    assert pipe.bubble_fraction(4) > 2.5 * pipe.bubble_fraction(32)
+    assert len(partition_blocks(8, 8)) == 8
+    assert bubble_fraction(8, 4) > 2.5 * bubble_fraction(8, 32)

@@ -23,12 +23,11 @@ the CI tolerance gate (``repro bench --check``) is for.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.utils.baseline import case_drift, load_document, write_document
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("bench")
@@ -266,21 +265,11 @@ def to_document(records: Sequence[BenchRecord]) -> dict:
 
 
 def write_baseline(records: Sequence[BenchRecord], path) -> Path:
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_document(records), indent=1, sort_keys=True) + "\n")
-    return path
+    return write_document(to_document(records), path)
 
 
 def load_baseline(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"baseline {path} has schema {doc.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    return doc
+    return load_document(path, SCHEMA_VERSION)
 
 
 def compare(
@@ -298,36 +287,11 @@ def compare(
     longer describes the system, so the gate fails until it is
     regenerated (``repro bench --out BENCH_obs.json``).
     """
-    problems: list[str] = []
-
-    def rel(cur: float, base: float) -> float:
-        if base == 0.0:
-            return math.inf if cur else 0.0
-        return abs(cur - base) / abs(base)
-
-    for name, base_case in sorted(baseline.get("cases", {}).items()):
-        cur_case = current.get("cases", {}).get(name)
-        if cur_case is None:
-            if require_all:
-                problems.append(f"{name}: missing from current run")
-            continue
-        for metric in ("step_time_s", "peak_memory_bytes"):
-            drift = rel(cur_case[metric], base_case[metric])
-            if drift > tolerance:
-                problems.append(
-                    f"{name}: {metric} drifted {drift:.1%} "
-                    f"({base_case[metric]:.6g} -> {cur_case[metric]:.6g})"
-                )
-        drift = abs(
-            cur_case["exposed_comm_fraction"] - base_case["exposed_comm_fraction"]
-        )
-        if drift > tolerance:
-            problems.append(
-                f"{name}: exposed_comm_fraction drifted {drift:.3f} "
-                f"({base_case['exposed_comm_fraction']:.4f} -> "
-                f"{cur_case['exposed_comm_fraction']:.4f})"
-            )
-
+    problems = case_drift(
+        current, baseline, tolerance, require_all,
+        relative=("step_time_s", "peak_memory_bytes"),
+        absolute=("exposed_comm_fraction",),
+    )
     for model, base_eff in sorted(baseline.get("efficiency", {}).items()):
         cur_eff = current.get("efficiency", {}).get(model)
         if cur_eff is None:

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.experiments.common import format_table
 from repro.models.configs import ORBIT_115M, OrbitConfig
 from repro.tune.estimator import AnalyticEstimator, Estimate
+from repro.tune.search import InfeasibleRequest, simulate_candidate
 from repro.tune.space import Candidate, TuneRequest, enumerate_space
 
 
@@ -57,11 +58,8 @@ class CrossoverResult:
     oom_4d: int = 0
 
     def best(self, pipelined: bool) -> CrossoverRow:
-        for row in self.rows:
-            if row.pipelined == pipelined:
-                return row
-        kind = "pipelined" if pipelined else "3D"
-        raise RuntimeError(f"no {kind} plan fits on {self.num_gpus} GCDs")
+        """The fastest fitting plan of one camp (:func:`run` ensures both)."""
+        return next(row for row in self.rows if row.pipelined == pipelined)
 
     @property
     def crossed_over(self) -> bool:
@@ -84,10 +82,7 @@ class CrossoverResult:
         # Keep the two front-runners in frame even when one camp sweeps
         # the top of the ranking.
         for pipelined in (False, True):
-            try:
-                row = self.best(pipelined)
-            except RuntimeError:
-                continue
+            row = self.best(pipelined)
             if row not in shown:
                 shown.append(row)
         table_rows = []
@@ -136,6 +131,9 @@ def run(
 ) -> CrossoverResult:
     """Rank the 4D space at one fixed-GCD point; pin the micro-batch.
 
+    Raises :class:`~repro.tune.InfeasibleRequest` unless both a 3D and
+    a pipelined plan fit (there is no crossover to state otherwise).
+
     The micro-batch is pinned (like Fig 6's operating regime) because
     the crossover is a statement about a *batch* workload: at small
     micro-batches every 3D plan fits un-checkpointed and the bubble has
@@ -169,14 +167,15 @@ def run(
     result.oom_4d = sum(
         1 for row in scored if not row.estimate.fits and row.pipelined
     )
+    for pipelined in (False, True):
+        if not any(row.pipelined == pipelined for row in result.rows):
+            kind = "pipelined" if pipelined else "3D"
+            raise InfeasibleRequest(
+                f"no {kind} plan fits on {num_gpus} GCDs", space
+            )
     if validate:
-        from repro.tune.search import simulate_candidate
-
         for pipelined in (False, True):
-            try:
-                row = result.best(pipelined)
-            except RuntimeError:
-                continue
+            row = result.best(pipelined)
             row.simulated_step_s = simulate_candidate(
                 request, row.candidate
             )["step_time_s"]

@@ -205,8 +205,10 @@ class FaultPlan:
         """A seeded schedule: same arguments, same plan, bit for bit."""
         import numpy as np
 
-        if num_steps < 1 or world_size < 1 or count < 0:
+        if num_steps < 1 or world_size < 1:
             raise ValueError("num_steps and world_size must be positive")
+        if count < 0:
+            raise ValueError(f"count {count} must be non-negative")
         rng = np.random.default_rng(seed)
         faults = []
         for _ in range(count):

@@ -574,16 +574,16 @@ class Supervisor:
         rank = self._rank_of(err)
         node = (rank if rank is not None else 0) // gpn
         lost_ranks = set(range(node * gpn, (node + 1) * gpn))
-        try:
-            new_spec = self._shrunken_spec(old, lost_ranks)
-        except ElasticRecoveryError as impossible:
-            self._give_up(report, step, err, str(impossible), str(impossible))
-            return
         mapping = {
             r: (r if r < node * gpn else r - gpn)
             for r in range(old.num_gpus)
             if r not in lost_ranks
         }
+        try:
+            new_spec = self._shrunken_spec(old, mapping)
+        except ElasticRecoveryError as impossible:
+            self._give_up(report, step, err, str(impossible), str(impossible))
+            return
         self._restart(
             err, step, t0, report, new_spec, remap=mapping,
             note=(
@@ -652,12 +652,14 @@ class Supervisor:
         )
 
     @staticmethod
-    def _shrunken_spec(old, lost_ranks: set[int]):
-        """The legal DDP-shrunken RunSpec after losing ``lost_ranks``,
-        preserving the global batch; raises ElasticRecoveryError."""
+    def _shrunken_spec(old, mapping: dict[int, int]):
+        """The legal DDP-shrunken RunSpec on the surviving ranks
+        (``mapping``: old rank -> new rank), preserving the global batch
+        and moving each straggler skew with its GPU; raises
+        ElasticRecoveryError."""
         from repro.runtime import RunSpecError
 
-        surviving = old.num_gpus - len(lost_ranks)
+        surviving = len(mapping)
         per_replica = old.pp_size * old.tp_size * old.fsdp_size
         if surviving < per_replica or surviving % per_replica:
             raise ElasticRecoveryError(
@@ -674,7 +676,11 @@ class Supervisor:
         new_micro = global_batch // (new_ddp * old.fsdp_size)
         try:
             new_spec = old.replace(
-                num_gpus=surviving, ddp_size=new_ddp, micro_batch=new_micro
+                num_gpus=surviving, ddp_size=new_ddp, micro_batch=new_micro,
+                compute_skew={
+                    mapping[rank]: factor
+                    for rank, factor in old.compute_skew if rank in mapping
+                },
             )
         except RunSpecError as invalid:
             raise ElasticRecoveryError(

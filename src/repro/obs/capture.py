@@ -79,11 +79,10 @@ def run_traced_step(
     """
     # Deferred: repro.obs's package __init__ imports this module.
     from repro.models import OrbitConfig
-    from repro.runtime import RunSpec, Session, StepLoop
+    from repro.runtime import RunSpec
 
-    config = OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS)
     spec = RunSpec(
-        config=config,
+        config=OrbitConfig("trace-tiny", **TRACE_CONFIG_KWARGS),
         num_gpus=num_gpus,
         gpus_per_node=gpus_per_node,
         tp_size=tp_size,
@@ -99,10 +98,19 @@ def run_traced_step(
         fold=fold,
         monitor=monitor,
     )
+    return trace_spec(spec, out_dir)
+
+
+def trace_spec(spec, out_dir=None) -> TraceRun:
+    """``spec.num_steps`` traced numeric steps of a validated RunSpec
+    (the body of :func:`run_traced_step`; ``repro trace`` calls it with
+    the spec it built from its flags)."""
+    from repro.runtime import Session, StepLoop
+
     session = Session(spec)
     result = StepLoop(
         session.numeric_step, hooks=session.loop_hooks()
-    ).run(num_steps)
+    ).run(spec.num_steps)
     loss = result.final_loss
 
     # The trainer already recorded step.walltime_s / train.loss /

@@ -11,9 +11,8 @@
 * :mod:`repro.parallel.ddp` — replica data parallelism with one
   gradient all-reduce per step;
 * :mod:`repro.parallel.stages` — pipeline-stage machinery: the
-  contiguous partition, 1F1B schedule arithmetic, boundary sends, and
-  the standalone GPipe-style demo trunk (scalability capped by the
-  layer count — the paper's Sec II point);
+  contiguous partition (capped by the layer count — the paper's Sec II
+  point), 1F1B schedule arithmetic and boundary sends;
 * :mod:`repro.parallel.engine` — the Hybrid-STOP training engine
   combining all four axes (PP x TP x FSDP x DDP);
 * :mod:`repro.core` — the sharded sublayer modules the engine is
@@ -25,7 +24,7 @@ from repro.parallel.ddp import DDPEngine
 from repro.parallel.engine import HybridSTOPEngine
 from repro.parallel.fsdp import FSDPModule
 from repro.parallel.plan import HybridParallelPlan
-from repro.parallel.stages import PipelineLimitError, PipelineParallelTrunk
+from repro.parallel.stages import PipelineLimitError
 from repro.parallel.tensor_parallel import TensorParallelBlock
 
 __all__ = [
@@ -36,6 +35,5 @@ __all__ = [
     "HybridSTOPEngine",
     "PeakFractionCompute",
     "PipelineLimitError",
-    "PipelineParallelTrunk",
     "TensorParallelBlock",
 ]

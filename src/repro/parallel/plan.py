@@ -147,13 +147,6 @@ class HybridParallelPlan:
             )
         return self._stage_plans[stage]
 
-    def stage_coords(self, rank: int) -> tuple[int, int, int, int]:
-        """``(pp, ddp, fsdp, tp)`` of a global rank under this plan."""
-        stage, rem = divmod(rank - self.rank_offset, self.stage_size)
-        if not 0 <= stage < self.pp_size:
-            raise ValueError(f"rank {rank} outside plan of {self.pp_size} stages")
-        return (stage, *self.stage_plan(0).coords(rem + self.rank_offset))
-
     def _check(self, ddp: int, fsdp: int, tp: int) -> None:
         if not (0 <= ddp < self.ddp_size and 0 <= fsdp < self.fsdp_size and 0 <= tp < self.tp_size):
             raise ValueError(

@@ -1,10 +1,11 @@
-"""Pipeline-stage machinery shared by the 4D engine and the GPipe demo.
+"""Pipeline-stage machinery of the 4D engine's ``pp`` axis.
 
 Paper Sec II positions Hybrid-STOP against pipeline parallelism, whose
 scalability "is limited by the number of model layers": a model can be
 cut into at most one stage per transformer block, and the schedule
 bubble wastes ``(S-1)/(M+S-1)`` of the machine for S stages and M
-micro-batches.  This module holds the arithmetic both consumers share:
+micro-batches.  :class:`~repro.parallel.engine.HybridSTOPEngine`
+composes these helpers with TP/FSDP/DDP-sharded stages:
 
 * :func:`partition_blocks` — the contiguous stage partition (remainder
   spread over the first stages) with the layer-count limit enforced as
@@ -14,18 +15,12 @@ micro-batches.  This module holds the arithmetic both consumers share:
   slots of the slowest stage's per-micro-batch busy time;
 * :func:`record_boundary_send` — a cost-accounted point-to-point
   activation/gradient transfer at a stage boundary (M latency hits,
-  one payload's worth of bytes);
-* :class:`PipelineParallelTrunk` — the standalone GPipe-style engine,
-  rebuilt on the helpers above (the 4D :class:`~repro.parallel.engine.
-  HybridSTOPEngine` composes the same helpers with sharded stages).
+  one payload's worth of bytes).
 """
 
 from __future__ import annotations
 
 from repro.cluster.cluster import VirtualCluster
-from repro.meta import nbytes_of
-from repro.nn.context import ExecutionContext, execution_context
-from repro.nn.transformer import TransformerStack
 
 
 class PipelineLimitError(ValueError):
@@ -85,8 +80,8 @@ def record_boundary_send(
     src: int,
     dst: int,
     payload_nbytes: float,
-    num_micro_batches: int = 1,
-    op: str = "pipeline.send",
+    num_micro_batches: int,
+    op: str,
 ) -> None:
     """Account one stage-boundary transfer of a full step's payload.
 
@@ -101,156 +96,3 @@ def record_boundary_send(
         src, dst, per_micro
     )
     cluster.timeline.record_comm([src, dst], seconds, payload_nbytes, op=op)
-
-
-class PipelineParallelTrunk:
-    """A transformer stack partitioned into pipeline stages (GPipe demo).
-
-    The standalone, unsharded pipeline engine: one whole stage per
-    rank, activations recomputed in backward, stage boundaries as
-    point-to-point sends.  Kept as the minimal executable form of the
-    paper's cited limitation; the production path is the ``pp_size``
-    axis of :class:`~repro.parallel.engine.HybridSTOPEngine`, which
-    composes the same stage machinery with TP/FSDP/DDP sharding.
-
-    Parameters
-    ----------
-    serial:
-        The stack to partition; its blocks are used in place.
-    cluster:
-        Stage ``s`` lives on rank ``s``.
-    num_stages:
-        Pipeline depth; at most ``len(serial.blocks)`` (the paper's
-        layer-count limitation).
-    """
-
-    def __init__(
-        self,
-        serial: TransformerStack,
-        cluster: VirtualCluster,
-        num_stages: int,
-        compute_model=None,
-    ):
-        num_blocks = len(serial.blocks)
-        bounds = partition_blocks(num_blocks, num_stages)
-        if num_stages > cluster.world_size:
-            raise ValueError(
-                f"{num_stages} stages need {num_stages} ranks; cluster has "
-                f"{cluster.world_size}"
-            )
-        self.cluster = cluster
-        self.compute_model = compute_model
-        self.num_stages = num_stages
-        self.stages: list[list] = []
-        self._allocations = []
-        for stage, (start, end) in enumerate(bounds):
-            blocks = serial.blocks[start:end]
-            self.stages.append(blocks)
-            device = cluster.device(stage)
-            stage_bytes = sum(
-                p.nbytes for block in blocks for p in block.parameters()
-            )
-            self._allocations.append(
-                device.memory.allocate(stage_bytes, tag=f"params.stage{stage}")
-            )
-        self._cache: list | None = None
-
-    # -- accounting ------------------------------------------------------------
-    def _record_compute(self, stage: int, ctx: ExecutionContext) -> None:
-        if self.compute_model is not None:
-            seconds = self.compute_model.seconds_for(ctx.flops, stage)
-            self.cluster.timeline.record_compute(stage, seconds, ctx.flops)
-        self._stage_flops[stage] += ctx.flops
-
-    def _send(self, src: int, dst: int, payload) -> None:
-        record_boundary_send(self.cluster, src, dst, nbytes_of(payload))
-
-    # -- execution -----------------------------------------------------------------
-    def forward(self, micro_batches: list) -> list:
-        """Run M micro-batches through the pipeline; returns M outputs."""
-        if not micro_batches:
-            raise ValueError("need at least one micro-batch")
-        self._stage_flops = [0.0] * self.num_stages
-        outputs = []
-        for x in micro_batches:
-            for stage, blocks in enumerate(self.stages):
-                ctx = ExecutionContext()
-                with execution_context(ctx):
-                    for block in blocks:
-                        x = block(x)
-                        # The schedule recomputes stage activations in
-                        # backward; keep only the stage boundary here.
-                self._record_compute(stage, ctx)
-                if stage + 1 < self.num_stages:
-                    self._send(stage, stage + 1, x)
-            outputs.append(x)
-        self._cache = list(micro_batches)
-        # Each block's internal cache currently holds only the LAST
-        # micro-batch; backward re-runs forward per micro-batch.
-        return outputs
-
-    def backward(self, grad_outputs: list) -> list:
-        """Backward through the pipeline; returns input gradients."""
-        if self._cache is None:
-            raise RuntimeError("PipelineParallelTrunk.backward without a forward")
-        micro_batches = self._cache
-        self._cache = None
-        if len(grad_outputs) != len(micro_batches):
-            raise ValueError(
-                f"{len(grad_outputs)} gradients for {len(micro_batches)} micro-batches"
-            )
-        grad_inputs = []
-        for x, grad in zip(micro_batches, grad_outputs):
-            # Recompute stage boundary activations for this micro-batch.
-            boundaries = [x]
-            for blocks in self.stages[:-1]:
-                h = boundaries[-1]
-                for block in blocks:
-                    h = block(h)
-                    block.clear_cache()
-                boundaries.append(h)
-            for stage in reversed(range(self.num_stages)):
-                ctx = ExecutionContext()
-                with execution_context(ctx):
-                    h = boundaries[stage]
-                    for block in self.stages[stage]:
-                        h = block(h)  # rebuild caches for this stage
-                    for block in reversed(self.stages[stage]):
-                        grad = block.backward(grad)
-                self._record_compute(stage, ctx)
-                if stage > 0:
-                    self._send(stage, stage - 1, grad)
-            grad_inputs.append(grad)
-        return grad_inputs
-
-    # -- schedule model ------------------------------------------------------------
-    def bubble_fraction(self, num_micro_batches: int) -> float:
-        """Idle fraction of the schedule: ``(S-1) / (M+S-1)``."""
-        return bubble_fraction(self.num_stages, num_micro_batches)
-
-    def schedule_walltime(self, num_micro_batches: int) -> float:
-        """Pipelined walltime from the recorded per-stage compute times.
-
-        The timeline records each stage's *total* busy time; a balanced
-        schedule finishes in ``(M + S - 1) * t_slot`` where ``t_slot``
-        is the slowest stage's per-micro-batch time.
-        """
-        if self.compute_model is None:
-            raise RuntimeError("schedule_walltime needs a compute_model")
-        per_stage = [
-            self.cluster.timeline.ledger(stage).compute_s
-            for stage in range(self.num_stages)
-        ]
-        return schedule_walltime(per_stage, max(1, num_micro_batches))
-
-    # -- parameters -----------------------------------------------------------------
-    def stage_parameters(self, stage: int) -> list:
-        """Parameters resident on one stage's device."""
-        return [p for block in self.stages[stage] for p in block.parameters()]
-
-    def parameters(self) -> list:
-        return [p for stage in range(self.num_stages) for p in self.stage_parameters(stage)]
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()

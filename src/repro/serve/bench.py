@@ -19,14 +19,13 @@ cost.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.policy import ServePolicy
 from repro.serve.server import ForecastServer, ServeReport
+from repro.utils.baseline import case_drift, load_document, write_document
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("serve.bench")
@@ -181,23 +180,11 @@ def to_document(records: dict[str, dict]) -> dict:
 
 
 def write_baseline(records: dict[str, dict], path) -> Path:
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(to_document(records), indent=1, sort_keys=True) + "\n"
-    )
-    return path
+    return write_document(to_document(records), path)
 
 
 def load_baseline(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"baseline {path} has schema {doc.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    return doc
+    return load_document(path, SCHEMA_VERSION)
 
 
 #: Metrics gated by *relative* drift (scale-dependent quantities).
@@ -223,41 +210,11 @@ def compare(
     the deterministic replay itself changed, which is never a rounding
     story.
     """
-    problems: list[str] = []
-
-    def rel(cur: float, base: float) -> float:
-        if base == 0.0:
-            return math.inf if cur else 0.0
-        return abs(cur - base) / abs(base)
-
-    for name, base_case in sorted(baseline.get("cases", {}).items()):
-        cur_case = current.get("cases", {}).get(name)
-        if cur_case is None:
-            if require_all:
-                problems.append(f"{name}: missing from current run")
-            continue
-        for metric in _RELATIVE_METRICS:
-            drift = rel(cur_case[metric], base_case[metric])
-            if drift > tolerance:
-                problems.append(
-                    f"{name}: {metric} drifted {drift:.1%} "
-                    f"({base_case[metric]:.6g} -> {cur_case[metric]:.6g})"
-                )
-        for metric in _ABSOLUTE_METRICS:
-            drift = abs(cur_case[metric] - base_case[metric])
-            if drift > tolerance:
-                problems.append(
-                    f"{name}: {metric} drifted {drift:.3f} "
-                    f"({base_case[metric]:.4f} -> {cur_case[metric]:.4f})"
-                )
-        for metric in _EXACT_METRICS:
-            if cur_case[metric] != base_case[metric]:
-                problems.append(
-                    f"{name}: {metric} changed "
-                    f"({base_case[metric]} -> {cur_case[metric]}) — seeded "
-                    "replay is no longer identical"
-                )
-    return problems
+    return case_drift(
+        current, baseline, tolerance, require_all,
+        relative=_RELATIVE_METRICS, absolute=_ABSOLUTE_METRICS,
+        exact=_EXACT_METRICS,
+    )
 
 
 def summary_table(doc: dict) -> str:

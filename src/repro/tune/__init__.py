@@ -31,6 +31,7 @@ from repro.tune.search import (
 )
 from repro.tune.space import (
     Candidate,
+    InvalidRequest,
     Rejection,
     SearchSpace,
     TuneRequest,
@@ -42,6 +43,7 @@ __all__ = [
     "Candidate",
     "Estimate",
     "InfeasibleRequest",
+    "InvalidRequest",
     "Rejection",
     "ScoredCandidate",
     "SearchSpace",

@@ -90,6 +90,10 @@ class Rejection:
     pp_size: int = 1
 
 
+class InvalidRequest(ValueError):
+    """A malformed :class:`TuneRequest` (the CLI maps this to exit 2)."""
+
+
 @dataclass(frozen=True)
 class TuneRequest:
     """What to search: model, machine, and the policy axes to sweep."""
@@ -116,17 +120,20 @@ class TuneRequest:
     degradation_key: str = ""
 
     def __post_init__(self):
-        if self.num_gpus < 1 or self.gpus_per_node < 1:
-            raise ValueError("num_gpus and gpus_per_node must be positive")
+        for name in ("num_gpus", "gpus_per_node"):
+            if getattr(self, name) < 1:
+                raise InvalidRequest(
+                    f"{name} {getattr(self, name)} must be positive"
+                )
         if self.num_gpus > self.gpus_per_node and self.num_gpus % self.gpus_per_node:
-            raise ValueError(
+            raise InvalidRequest(
                 f"{self.num_gpus} GPUs is not a whole number of "
                 f"{self.gpus_per_node}-GPU nodes"
             )
         if not self.micro_batches or min(self.micro_batches) < 1:
-            raise ValueError("micro_batches must be positive")
+            raise InvalidRequest("micro_batches must be positive")
         if not self.pp_sizes or min(self.pp_sizes) < 1:
-            raise ValueError("pp_sizes must be positive")
+            raise InvalidRequest("pp_sizes must be positive")
 
     @property
     def nodes(self) -> int:

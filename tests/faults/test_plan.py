@@ -84,6 +84,10 @@ class TestFaultPlan:
         c = FaultPlan.random(8, num_steps=10, world_size=16, count=5)
         assert c != a
 
+    def test_random_negative_count_names_count(self):
+        with pytest.raises(ValueError, match="count -1 must be non-negative"):
+            FaultPlan.random(7, num_steps=10, world_size=16, count=-1)
+
     def test_remapped_drops_lost_ranks(self):
         plan = FaultPlan(faults=(
             FaultSpec(kind="gpu_crash", step=2, rank=3),

@@ -183,6 +183,19 @@ class TestElasticRegroup:
         ]
         assert [e.data for e in journaled] == [unrecovered[0].as_dict()]
 
+    def test_straggler_skew_follows_its_gpu(self, tmp_path):
+        """Node 0 lost on 16 GCDs: rank 12's skew renumbers to rank 4 and
+        the skew on the lost node is dropped with its GPU."""
+        spec = _meta_spec(compute_skew={12: 4.0, 3: 2.0})
+        plan = FaultPlan(faults=(FaultSpec(kind="node_loss", step=2, rank=0),))
+        supervisor = Supervisor(
+            spec, plan, checkpoint_every=2, checkpoint_dir=tmp_path,
+        )
+        report = supervisor.run(4)
+        assert report.recovered
+        assert supervisor.spec.num_gpus == 8
+        assert supervisor.spec.compute_skew == ((4, 4.0),)
+
     def test_survivors_cannot_host_replica(self):
         spec = _meta_spec(num_gpus=8, gpus_per_node=8, tp_size=2, fsdp_size=2,
                           ddp_size=2)

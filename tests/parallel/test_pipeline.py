@@ -1,135 +1,161 @@
-"""Tests for GPipe-style pipeline parallelism (the Sec II comparison)."""
+"""Pipeline parallelism (the Sec II comparison) on the engine's pp axis.
+
+The paper's claims about pipelining — stages cannot exceed layers, the
+uneven contiguous partition, the ``(S-1)/(M+S-1)`` bubble, a makespan
+above the ideal, point-to-point boundary traffic and per-stage resident
+parameters — checked on the stage helpers of
+:mod:`repro.parallel.stages` and on :class:`HybridSTOPEngine` at
+``pp = S, tp = fsdp = ddp = 1``.  Bitwise 4D parity lives in
+``test_pipeline_parity.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.cluster import VirtualCluster
-from repro.nn.transformer import TransformerStack
-from repro.parallel import PeakFractionCompute
-from repro.parallel.stages import PipelineLimitError, PipelineParallelTrunk
+from repro.models import OrbitConfig, build_model
+from repro.obs.tracer import Tracer
+from repro.parallel import HybridParallelPlan, HybridSTOPEngine, PeakFractionCompute
+from repro.parallel.stages import (
+    PipelineLimitError,
+    bubble_fraction,
+    partition_blocks,
+    schedule_walltime,
+)
 
 
-def make_setup(num_stages=2, depth=4, dim=8, micro_batches=3, seed=0, compute=False):
-    rng = np.random.default_rng(seed)
-    serial = TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
-    reference = TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
+def _config(depth):
+    return OrbitConfig(
+        "pipe-tiny", embed_dim=8, depth=depth, num_heads=2,
+        in_vars=3, out_vars=2, img_height=8, img_width=8, patch_size=4,
+    )
+
+
+def make_setup(num_stages=2, depth=4, micro_batch=3, seed=0, compute=False):
+    """A pure-pipeline engine (one stage per rank), its serial twin, and
+    one step's ``[1][1]``-nested inputs and output gradients."""
     cluster = VirtualCluster(num_gpus=num_stages, gpus_per_node=8)
-    pipeline = PipelineParallelTrunk(
-        serial, cluster, num_stages,
+    cluster.timeline.tracer = Tracer()
+    plan = HybridParallelPlan(
+        cluster, tp_size=1, fsdp_size=1, ddp_size=1, pp_size=num_stages
+    )
+    engine = HybridSTOPEngine(
+        build_model(_config(depth), rng=seed, dtype=np.float64), plan,
         compute_model=PeakFractionCompute(cluster) if compute else None,
     )
-    xs = [rng.normal(size=(2, 3, dim)) for _ in range(micro_batches)]
-    grads = [rng.normal(size=(2, 3, dim)) for _ in range(micro_batches)]
-    return reference, pipeline, xs, grads, cluster
+    reference = build_model(_config(depth), rng=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.normal(size=(micro_batch, 3, 8, 8))
+    lead = np.full((micro_batch,), 24.0)
+    grad = rng.normal(size=(micro_batch, 2, 8, 8))
+    return reference, engine, (x, lead, grad), cluster
+
+
+def run_step(engine, batch):
+    x, lead, grad = batch
+    y = engine.forward([[x]], [[lead]])[0][0]
+    grad_x = engine.backward([[grad]])[0][0]
+    return y, grad_x
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("num_stages", [1, 2, 4])
     def test_forward_matches_serial(self, num_stages):
-        reference, pipeline, xs, _, _ = make_setup(num_stages=num_stages)
-        outputs = pipeline.forward(xs)
-        for x, y in zip(xs, outputs):
-            expected = reference(x)
-            reference.clear_cache()
-            np.testing.assert_allclose(y, expected, rtol=1e-10)
+        reference, engine, (x, lead, _), _ = make_setup(num_stages=num_stages)
+        y = engine.forward([[x]], [[lead]])[0][0]
+        assert np.array_equal(y, reference(x, lead))
 
     def test_backward_matches_serial(self):
-        reference, pipeline, xs, grads, _ = make_setup(num_stages=2, seed=1)
-        pipeline.forward(xs)
-        grad_inputs = pipeline.backward(grads)
-
-        x_all = np.concatenate(xs, axis=0)
-        g_all = np.concatenate(grads, axis=0)
-        reference(x_all)
+        reference, engine, batch, _ = make_setup(num_stages=2, seed=1)
+        x, lead, grad = batch
+        _, grad_x = run_step(engine, batch)
+        reference(x, lead)
         reference.zero_grad()
-        gx_ref = reference.backward(g_all)
-        np.testing.assert_allclose(
-            np.concatenate(grad_inputs, axis=0), gx_ref, rtol=1e-8, atol=1e-11
-        )
-        ref_grads = dict(reference.named_parameters())
-        pipe_params = pipeline.parameters()
-        # Pipeline blocks are the serial model's blocks in order.
-        for (name, ref_param), pipe_param in zip(ref_grads.items(), pipe_params):
-            np.testing.assert_allclose(
-                pipe_param.grad, ref_param.grad, rtol=1e-8, atol=1e-11, err_msg=name
-            )
+        assert np.array_equal(grad_x, reference.backward(grad))
+        ref_grads = {n: p.grad for n, p in reference.named_parameters()}
+        grads = engine.trunks[0].gathered_grads()
+        assert grads
+        for name, value in grads.items():
+            assert np.array_equal(value, ref_grads[name]), name
 
 
 class TestLimitsAndLayout:
     def test_layer_count_limit(self):
         """The paper's Sec II point: stages cannot exceed layers."""
-        serial = TransformerStack(8, 2, 2, rng=0)
-        cluster = VirtualCluster(num_gpus=4)
+        with pytest.raises(PipelineLimitError, match="limited by the number"):
+            partition_blocks(2, 3)
         with pytest.raises(PipelineLimitError):
-            PipelineParallelTrunk(serial, cluster, num_stages=3)
+            make_setup(num_stages=3, depth=2)
 
     def test_needs_enough_ranks(self):
-        serial = TransformerStack(8, 4, 2, rng=0)
-        cluster = VirtualCluster(num_gpus=2)
-        with pytest.raises(ValueError):
-            PipelineParallelTrunk(serial, cluster, num_stages=4)
+        with pytest.raises(ValueError, match="world size 2"):
+            HybridParallelPlan(
+                VirtualCluster(num_gpus=2), tp_size=1, fsdp_size=1,
+                ddp_size=1, pp_size=4,
+            )
 
     def test_uneven_partition(self):
-        _, pipeline, _, _, _ = make_setup(num_stages=3, depth=4)
-        sizes = [len(stage) for stage in pipeline.stages]
+        assert partition_blocks(4, 3) == [(0, 2), (2, 3), (3, 4)]
+        _, engine, _, _ = make_setup(num_stages=3, depth=4)
+        sizes = [len(stage.blocks) for stage in engine.trunks[0].stage_trunks]
         assert sizes == [2, 1, 1]
         assert sum(sizes) == 4
 
     def test_parameters_distributed_across_devices(self):
-        _, pipeline, _, _, cluster = make_setup(num_stages=2, depth=4)
-        for stage in range(2):
-            stage_bytes = sum(p.nbytes for p in pipeline.stage_parameters(stage))
-            assert cluster.device(stage).memory.current_bytes == stage_bytes
+        _, engine, _, cluster = make_setup(num_stages=2, depth=4)
+        for stage, trunk in enumerate(engine.trunks[0].stage_trunks):
+            params = trunk.sharded_parameters()
+            assert {d.rank for p in params for d in p.devices} == {stage}
+            stage_bytes = sum(p.shard_nbytes for p in params)
+            memory = cluster.device(stage).memory
+            assert memory.category_current("params.trunk") == stage_bytes
 
     def test_boundary_traffic_recorded(self):
-        _, pipeline, xs, grads, cluster = make_setup(num_stages=2)
-        pipeline.forward(xs)
-        pipeline.backward(grads)
+        _, engine, batch, cluster = make_setup(num_stages=2)
+        run_step(engine, batch)
         assert cluster.timeline.ledger(0).comm_bytes > 0
         assert cluster.timeline.ledger(1).comm_bytes > 0
+        sends = {
+            (span.name, span.rank) for span in cluster.timeline.tracer.spans
+            if span.name in ("pipeline.send", "pipeline.grad_send")
+        }
+        assert sends == {
+            (op, rank) for op in ("pipeline.send", "pipeline.grad_send")
+            for rank in (0, 1)
+        }
 
 
 class TestSchedule:
     def test_bubble_fraction(self):
-        _, pipeline, _, _, _ = make_setup(num_stages=4, depth=4)
-        assert pipeline.bubble_fraction(1) == pytest.approx(3 / 4)
-        assert pipeline.bubble_fraction(12) == pytest.approx(3 / 15)
+        assert bubble_fraction(4, 1) == pytest.approx(3 / 4)
+        assert bubble_fraction(4, 12) == pytest.approx(3 / 15)
         with pytest.raises(ValueError):
-            pipeline.bubble_fraction(0)
+            bubble_fraction(4, 0)
 
     def test_more_micro_batches_amortize_the_bubble(self):
-        _, pipeline, _, _, _ = make_setup(num_stages=4, depth=4)
-        assert pipeline.bubble_fraction(16) < pipeline.bubble_fraction(2)
+        assert bubble_fraction(4, 16) < bubble_fraction(4, 2)
 
     def test_schedule_walltime_exceeds_ideal(self):
-        _, pipeline, xs, _, cluster = make_setup(num_stages=2, compute=True)
-        pipeline.forward(xs)
-        wall = pipeline.schedule_walltime(len(xs))
-        ideal = max(
-            cluster.timeline.ledger(s).compute_s for s in range(2)
-        )
-        assert wall > ideal  # the bubble costs something
-
-    def test_schedule_needs_compute_model(self):
-        _, pipeline, xs, _, _ = make_setup(num_stages=2, compute=False)
-        pipeline.forward(xs)
-        with pytest.raises(RuntimeError):
-            pipeline.schedule_walltime(3)
+        """The engine's 1F1B makespan exceeds the busiest stage's own
+        work: the bubble costs something."""
+        _, engine, batch, cluster = make_setup(num_stages=2, compute=True)
+        run_step(engine, batch)
+        stall = [0.0, 0.0]
+        for span in cluster.timeline.tracer.spans:
+            if span.name == "pipeline.stall":
+                stall[span.rank] += span.dur
+        busy = [cluster.timeline.ledger(r).walltime_s - stall[r] for r in (0, 1)]
+        assert cluster.timeline.walltime_s() > max(busy)
+        assert schedule_walltime(busy, 3) > max(busy)
 
 
 class TestErrors:
     def test_backward_without_forward(self):
-        _, pipeline, _, grads, _ = make_setup()
-        with pytest.raises(RuntimeError):
-            pipeline.backward(grads)
-
-    def test_gradient_count_mismatch(self):
-        _, pipeline, xs, grads, _ = make_setup()
-        pipeline.forward(xs)
-        with pytest.raises(ValueError):
-            pipeline.backward(grads[:1])
+        _, engine, (_, _, grad), _ = make_setup()
+        with pytest.raises(RuntimeError, match="without a cached forward"):
+            engine.backward([[grad]])
 
     def test_empty_micro_batches(self):
-        _, pipeline, _, _, _ = make_setup()
-        with pytest.raises(ValueError):
-            pipeline.forward([])
+        _, engine, _, _ = make_setup()
+        with pytest.raises(ValueError, match="nested"):
+            engine.forward([], [])

@@ -1,12 +1,13 @@
-"""Property-based tests for the pipeline engine (random partitions)."""
+"""Property-based tests for the engine's pipeline axis (random partitions)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import VirtualCluster
-from repro.nn.transformer import TransformerStack
-from repro.parallel import PipelineParallelTrunk
+from repro.models import OrbitConfig, build_model
+from repro.parallel import HybridParallelPlan, HybridSTOPEngine
+from repro.parallel.stages import bubble_fraction, partition_blocks
 
 
 @st.composite
@@ -22,40 +23,38 @@ def pipeline_cases(draw):
 @settings(max_examples=20, deadline=None)
 @given(case=pipeline_cases())
 def test_property_pipeline_equals_serial(case):
+    """A pure pipeline (one stage per rank) is bitwise the serial model:
+    outputs, input gradients and every parameter gradient."""
     depth, num_stages, micro, dim, seed = case
-    rng = np.random.default_rng(seed)
-    serial = TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
-    reference = TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
-    cluster = VirtualCluster(num_gpus=num_stages, gpus_per_node=8)
-    pipeline = PipelineParallelTrunk(serial, cluster, num_stages)
-
-    xs = [rng.normal(size=(1, 2, dim)) for _ in range(micro)]
-    grads = [rng.normal(size=(1, 2, dim)) for _ in range(micro)]
-
-    outputs = pipeline.forward(xs)
-    grad_inputs = pipeline.backward(grads)
-
-    reference(np.concatenate(xs, axis=0))
-    reference.zero_grad()
-    gx_ref = reference.backward(np.concatenate(grads, axis=0))
-
-    # Output equivalence.
-    check = TransformerStack(dim, depth, 2, rng=seed, dtype=np.float64)
-    for x, y in zip(xs, outputs):
-        expected = check(x)
-        check.clear_cache()
-        np.testing.assert_allclose(y, expected, rtol=1e-9, atol=1e-12)
-    # Input-gradient equivalence.
-    np.testing.assert_allclose(
-        np.concatenate(grad_inputs, axis=0), gx_ref, rtol=1e-8, atol=1e-11
+    config = OrbitConfig(
+        "pipe-prop", embed_dim=dim, depth=depth, num_heads=2,
+        in_vars=3, out_vars=2, img_height=8, img_width=8, patch_size=4,
     )
-    # Parameter-gradient equivalence (the pipeline reuses serial's blocks).
-    for (name, ref_param), pipe_param in zip(
-        reference.named_parameters(), pipeline.parameters()
-    ):
-        np.testing.assert_allclose(
-            pipe_param.grad, ref_param.grad, rtol=1e-8, atol=1e-11, err_msg=name
-        )
+    cluster = VirtualCluster(num_gpus=num_stages, gpus_per_node=8)
+    plan = HybridParallelPlan(
+        cluster, tp_size=1, fsdp_size=1, ddp_size=1, pp_size=num_stages
+    )
+    engine = HybridSTOPEngine(build_model(config, rng=seed, dtype=np.float64), plan)
+    reference = build_model(config, rng=seed, dtype=np.float64)
+
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(micro, 3, 8, 8))
+    lead = np.full((micro,), 24.0)
+    grad = rng.normal(size=(micro, 2, 8, 8))
+
+    y = engine.forward([[x]], [[lead]])[0][0]
+    grad_x = engine.backward([[grad]])[0][0]
+    trunk = engine.trunks[0]
+    stages = getattr(trunk, "stage_trunks", [trunk])  # pp=1: one plain trunk
+    sizes = [len(stage.blocks) for stage in stages]
+    assert sizes == [end - start for start, end in partition_blocks(depth, num_stages)]
+
+    assert np.array_equal(y, reference(x, lead))
+    reference.zero_grad()
+    assert np.array_equal(grad_x, reference.backward(grad))
+    ref_grads = {n: p.grad for n, p in reference.named_parameters()}
+    for name, value in engine.trunks[0].gathered_grads().items():
+        assert np.array_equal(value, ref_grads[name]), name
 
 
 @settings(max_examples=20, deadline=None)
@@ -68,11 +67,9 @@ def test_property_bubble_fraction_bounds(depth, stages, micro):
     """The GPipe bubble is always in [0, 1) and vanishes as M grows."""
     if stages > depth:
         return
-    cluster = VirtualCluster(num_gpus=stages, gpus_per_node=8)
-    serial = TransformerStack(4, depth, 2, rng=0)
-    pipeline = PipelineParallelTrunk(serial, cluster, stages)
-    bubble = pipeline.bubble_fraction(micro)
+    assert len(partition_blocks(depth, stages)) == stages
+    bubble = bubble_fraction(stages, micro)
     assert 0.0 <= bubble < 1.0
-    assert pipeline.bubble_fraction(micro + 8) <= bubble
+    assert bubble_fraction(stages, micro + 8) <= bubble
     if stages == 1:
         assert bubble == 0.0

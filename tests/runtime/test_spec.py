@@ -45,6 +45,24 @@ class TestValidation:
         assert "micro_batch" in message
         assert "num_steps" in message
 
+    @pytest.mark.parametrize("skew, problem", [
+        ({99: 2.0}, "compute_skew rank 99: outside the 16-GPU world"),
+        ({-1: 2.0}, "compute_skew rank -1: outside the 16-GPU world"),
+        ({1: 0.0}, "compute_skew factor 0.0 for rank 1"),
+        ({1: -2.0}, "compute_skew factor -2.0 for rank 1"),
+        ({1: float("inf")}, "compute_skew factor inf for rank 1"),
+        ({1: float("nan")}, "compute_skew factor nan for rank 1"),
+    ])
+    def test_invalid_compute_skew_raises(self, skew, problem):
+        with pytest.raises(RunSpecError, match=problem):
+            RunSpec(config=TINY, num_gpus=16, tp_size=4, fsdp_size=2,
+                    ddp_size=2, compute_skew=skew)
+
+    def test_valid_compute_skew_is_normalized(self):
+        spec = RunSpec(config=TINY, num_gpus=16, tp_size=4, fsdp_size=2,
+                       ddp_size=2, compute_skew={15: 2.0, 0: 0.5})
+        assert spec.compute_skew == ((0, 0.5), (15, 2.0))
+
     def test_derived_ddp_size(self):
         spec = RunSpec(config=TINY, num_gpus=16, tp_size=4, fsdp_size=2,
                        ddp_size=None)

@@ -1,14 +1,36 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 ALL_SUBCOMMANDS = [
     "fig5", "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "all", "trace",
-    "analyze", "bench", "tune", "faults", "monitor",
+    "analyze", "bench", "tune", "faults", "monitor", "crossover", "serve",
+    "replan",
+]
+
+#: Invalid inputs that must exit 2 with a one-line diagnostic, never a
+#: traceback (exit 1 means "a check failed", not "bad input").
+SMALL_GRID = ["--gpus", "4", "--gpus-per-node", "4", "--tp", "2", "--fsdp", "2",
+              "--ddp", "1", "--micro-batch", "1"]
+INVALID_INVOCATIONS = [
+    ["crossover", "--pp", "x"],
+    ["crossover", "--gpus", "7"],
+    ["analyze", "--trace", "/nonexistent/trace_events.json"],
+    ["serve", "--check", "--baseline", "/nonexistent/BENCH_serve.json"],
+    ["bench", "--check", "--baseline", "/nonexistent/BENCH_obs.json"],
+    ["fig6", "--gpus", "0"],
+    ["trace", *SMALL_GRID, "--skew", "1=0"],
+    ["trace", *SMALL_GRID, "--skew", "bad"],
+    ["trace", *SMALL_GRID, "--skew", "99=2.0"],
 ]
 
 
@@ -157,9 +179,9 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--gpus", "16", "--fsdp", "5"]) == 2
         assert "invalid topology" in capsys.readouterr().err
 
-    def test_bad_skew_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["analyze", *self.TOPOLOGY, "--skew", "nonsense"])
+    def test_bad_skew_rejected(self, capsys):
+        assert main(["analyze", *self.TOPOLOGY, "--skew", "nonsense"]) == 2
+        assert "--skew" in capsys.readouterr().err
 
 
 class TestTuneCommand:
@@ -319,3 +341,20 @@ class TestCheckpointScratch:
         assert main(["faults", "--random", "3", "--count", "1", "--steps", "4",
                      "--checkpoint-every", "0"]) == 0
         assert not list(tmp_path.glob("repro-faults-*"))
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize(
+        "argv", INVALID_INVOCATIONS, ids=[" ".join(a) for a in INVALID_INVOCATIONS]
+    )
+    def test_invalid_input_exits_2_without_traceback(self, argv, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=600,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"repro {argv[0]}:")
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.iterdir())  # failed before writing anything
